@@ -1,10 +1,12 @@
 """Run one benchmark workload and print its metrics.
 
-    python3 perfbench/run.py --workload chase --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload chase --seed 1 --seconds 30 --trace 0
 
 With ``--trace 0`` the run measures the end-to-end metrics with no tracing:
 a few timed set-ups, then measured passes of the workload's fixed op
-schedule, repeated while another pass fits in ``--seconds``.  With
+schedule, repeated while another pass fits in ``--seconds``.  The first
+pass always runs; each workload's pass is sized so that it and the
+set-ups fit in 30 s down to about half the reference speed.  With
 ``--trace 1`` it replays the first steps of the schedule untraced and then
 traced (see ``tracing.py``) and reports the per-layer breakdown, the
 tracing overhead and the unattributed share.
@@ -399,7 +401,7 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument(
         "--record",
@@ -474,8 +476,15 @@ def main(argv=None) -> int:
         print(f"perfbench: {problem}", file=sys.stderr)
     correct = not problems
 
+    if reference:
+        checked = f"yes, {len(reference)} step digests"
+    else:
+        checked = "no reference recorded for this seed"
+        print(f"perfbench: {workload.name} seed {args.seed} has no reference "
+              "digests; outputs are checked against invariants and the run's "
+              "own passes only", file=sys.stderr)
     print(f"workload {workload.name}, seed {args.seed}, "
-          f"reference: {'yes' if reference else 'none recorded'}")
+          f"checked against reference.json: {checked}")
     for note in notes:
         print(note)
     for line in workload.headline(runs[0].outputs):

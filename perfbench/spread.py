@@ -1,6 +1,6 @@
 """Run-to-run spread of the end-to-end metrics over several seeds.
 
-    python3 perfbench/spread.py --workload chase --seeds 1-10 --seconds 20
+    python3 perfbench/spread.py --workload chase --seeds 1-10 --seconds 30
 
 Runs ``run.py`` once per seed, one after another, and prints for each
 end-to-end metric its median and the distance between the first and third
@@ -33,7 +33,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", default="1-10")
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args()

@@ -106,21 +106,20 @@ class Chase(Workload):
     Each op starts from a chaser re-synchronised to the ring head, as every
     trial of the accuracy experiment does by building a fresh rig; a
     desynchronisation left over from the previous load would otherwise
-    decide whether the next capture times out dozens of times.
+    decide whether the next capture times out dozens of times.  The spy
+    polls at the ``CaptureConfig`` default gap, as ``repro accuracy`` does.
     """
 
     name = "chase"
     #: First packets of each page load replayed, and the fingerprint length.
     frames = 40
     noise_pps = 350.0
-    #: Idle cycles between two clock polls of the awaited buffer.
-    poll_wait = 24_000
     #: About one page-load frame gap.  A timeout inside a load only counts
     #: a miss (the chaser keeps waiting on the same buffer); a spy that
     #: lost sync at the end of a load gives up after n + 128 of them
     #: instead of waiting for the background noise to lap the ring.
     timeout_cycles = 500_000
-    classify_rounds = 14
+    classify_rounds = 9
     steps_per_pass = 10 + classify_rounds * 10
     trace_steps = 60
 
@@ -156,7 +155,6 @@ class Chase(Workload):
         chaser = factory.full_ring_chaser()
         capture = CaptureConfig(
             trace_length=self.frames,
-            poll_wait=self.poll_wait,
             timeout_cycles=self.timeout_cycles,
             # Without DDIO the spy waits out the payload lag before sizing.
             size_wait=0
@@ -240,7 +238,7 @@ class Scan(Workload):
     n_samples = 200
     packet_rate = 200_000.0
     probe_rate_hz = 8000.0
-    steps_per_pass = 50
+    steps_per_pass = 35
     trace_steps = 16
 
     def inputs(self, seed: int):
@@ -321,7 +319,7 @@ class ScanKeyed(Scan):
 
     name = "scan-keyed"
     backend = "keyed:epoch=20000"
-    steps_per_pass = 32
+    steps_per_pass = 24
     trace_steps = 10
 
 
