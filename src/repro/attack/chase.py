@@ -55,14 +55,18 @@ class BufferMonitor:
         for es in self.alt_blocks.values():
             es.prime()
 
-    def clock_active(self) -> bool:
-        """Probe block 0 of both halves; True if either saw a miss."""
+    def clock_sweep(self) -> SetSweep:
+        """The clock probe: block 0 of both halves as one sweep (cached)."""
         if self._clock_sweep is None:
             sets = [self.blocks[0]]
             if 0 in self.alt_blocks:
                 sets.append(self.alt_blocks[0])
             self._clock_sweep = SetSweep(self.blocks[0].process, sets)
-        return bool((self._clock_sweep.probe() > 0).any())
+        return self._clock_sweep
+
+    def clock_active(self) -> bool:
+        """Probe block 0 of both halves; True if either saw a miss."""
+        return bool((self.clock_sweep().probe() > 0).any())
 
     def read_size(self, cap: int = 4) -> int:
         """Packet size in blocks (1..cap), read from whichever half fired.
@@ -149,14 +153,47 @@ class PacketChaser:
     def wait_for_fill(
         self, monitor: BufferMonitor, timeout_cycles: int, poll_wait: int = 0
     ) -> bool:
-        """Poll a buffer's clock set until it fires or timeout elapses."""
+        """Poll a buffer's clock set until it fires or timeout elapses.
+
+        Quiescent polls are fast-forwarded.  Between two pending events
+        nothing but the spy touches its own lines, so once a poll found no
+        fill, took exactly the all-hit time and saw no event fire, every
+        further poll that starts before the deadline and ends before the
+        next event is the same all-hit, no-fill poll.  Those are applied
+        in one step (:meth:`SetSweep.fast_forward`, then the idle time),
+        and exact polling resumes at the boundary.  Under an epochal
+        backend the skipped accesses must also end before the next
+        re-key.  An active fault plan draws timer jitter per access, so
+        there every poll stays exact.
+        """
         machine = self.process.machine
-        deadline = machine.clock.now + timeout_cycles
-        while machine.clock.now < deadline:
+        clock = machine.clock
+        events = machine.events
+        llc = machine.llc
+        deadline = clock.now + timeout_cycles
+        sweep = monitor.clock_sweep() if machine.faults is None else None
+        quiet = sweep.quiet_cycles() + poll_wait if sweep is not None else 0
+        while clock.now < deadline:
+            start = clock.now
+            nxt = events.peek_time()
             if monitor.clock_active():
                 return True
             if poll_wait:
                 machine.idle(poll_wait)
+            now = clock.now
+            if sweep is None or now - start != quiet:
+                continue
+            # Repeats of this quiet poll that start before the deadline,
+            # end before the next event and stay inside the epoch.  If an
+            # event fired during the poll, ``nxt <= now`` makes k < 1.
+            k = -((now - deadline) // quiet)
+            if nxt is not None:
+                k = min(k, (nxt - 1 - now) // quiet)
+            if llc.mapping.epoch_period:
+                k = min(k, llc.accesses_until_rekey() // sweep.n_accesses)
+            if k > 0:
+                sweep.fast_forward(k)
+                clock.advance(k * poll_wait)
         return False
 
     def chase(

@@ -53,6 +53,11 @@ class EvictionSet:
     ``probe`` traverses the addresses in the reverse of the previous
     traversal (the classic zig-zag), which both measures interference since
     the last probe and re-primes the set for the next one.
+
+    The addresses are stored once, in construction order; the traversal
+    order is that order or its reverse, by the parity of :attr:`version`
+    (the number of zig-zag traversals so far), so a flip is one integer
+    add whatever the count.
     """
 
     def __init__(
@@ -66,64 +71,59 @@ class EvictionSet:
         if not addrs:
             raise ValueError("eviction set needs at least one address")
         self.process = process
-        self.addrs = list(addrs)
+        self._addrs = tuple(addrs)
         self.threshold = threshold
         self.set_index = set_index
         self.label = label
         self._telemetry = process.machine.telemetry
-        #: Physical addresses aligned with :attr:`addrs`, resolved lazily
-        #: (translation is deterministic and the pages stay mapped).  One
-        #: probe traversal then costs one batched machine call instead of
-        #: one Python call per line.  The slice/set decomposition is
-        #: cached alongside so the complex hash runs once per set ever.
-        self._paddrs: np.ndarray | None = None
-        self._flats: np.ndarray | None = None
-        self._lines: np.ndarray | None = None
-        #: Bumped on every zig-zag flip; lets sweep-level callers cache
-        #: concatenated traversal arrays keyed by orientation.
+        #: ``(paddrs, flats, lines)`` in the stored order and reversed,
+        #: resolved on first use (translation is deterministic and the
+        #: pages stay mapped).  One probe traversal then costs one batched
+        #: machine call instead of one Python call per line, and the
+        #: complex hash runs once per set ever.
+        self._orders: tuple[tuple[np.ndarray, ...], ...] | None = None
+        #: Zig-zag traversals so far.  Odd means the current order is the
+        #: stored one reversed; sweep-level callers key their cached
+        #: concatenated traversal arrays on this parity.
         self.version = 0
 
     def __len__(self) -> int:
-        return len(self.addrs)
+        return len(self._addrs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EvictionSet({self.label or self.set_index}, n={len(self.addrs)})"
+        return f"EvictionSet({self.label or self.set_index}, n={len(self._addrs)})"
 
-    def paddrs(self) -> np.ndarray:
-        """Physical addresses in current traversal order (cached)."""
-        if self._paddrs is None:
+    @property
+    def addrs(self) -> list[int]:
+        """Virtual addresses in current traversal order."""
+        return list(self._addrs[::-1] if self.version & 1 else self._addrs)
+
+    def _oriented(self, parity: int) -> tuple[np.ndarray, ...]:
+        """``(paddrs, flats, lines)`` in stored order (0) or reversed (1)."""
+        if self._orders is None:
             translate = self.process.addrspace.translate
-            self._paddrs = np.fromiter(
-                (translate(addr) for addr in self.addrs),
+            paddrs = np.fromiter(
+                (translate(addr) for addr in self._addrs),
                 np.int64,
-                count=len(self.addrs),
+                count=len(self._addrs),
             )
-            self._flats, self._lines = self.process.machine.llc.decompose_many(
-                self._paddrs
-            )
-        return self._paddrs
+            stored = (paddrs, *self.process.machine.llc.decompose_many(paddrs))
+            self._orders = (stored, tuple(a[::-1] for a in stored))
+        return self._orders[parity]
 
-    def decomp(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached ``(flats, lines)`` decomposition, traversal-order aligned."""
-        self.paddrs()
-        return self._flats, self._lines
+    def probe_order(self) -> tuple[np.ndarray, ...]:
+        """``(paddrs, flats, lines)`` in the order the next probe uses:
+        the reverse of the last traversal."""
+        return self._oriented(~self.version & 1)
 
-    def probe_order_paddrs(self) -> np.ndarray:
-        """The reverse-of-last-traversal order the next probe will use."""
-        return self.paddrs()[::-1]
-
-    def flip(self) -> None:
-        """Record one zig-zag traversal (reverse the stored order)."""
-        self.addrs.reverse()
-        self.version += 1
-        if self._paddrs is not None:
-            self._paddrs = self._paddrs[::-1]
-            self._flats = self._flats[::-1]
-            self._lines = self._lines[::-1]
+    def flip(self, times: int = 1) -> None:
+        """Record ``times`` zig-zag traversals (O(1): a parity change)."""
+        self.version += times
 
     def prime(self) -> None:
         """Fill the cache set with our lines (untimed traversal)."""
-        self.process.machine.cpu_access_many(self.paddrs(), decomp=self.decomp())
+        paddrs, flats, lines = self._oriented(self.version & 1)
+        self.process.machine.cpu_access_many(paddrs, decomp=(flats, lines))
 
     def probe(self) -> int:
         """Timed zig-zag traversal; returns the number of misses seen.
@@ -131,18 +131,16 @@ class EvictionSet:
         One batched machine call covers the whole traversal — the classic
         per-line loop collapsed into :meth:`Machine.cpu_access_many`.
         """
-        flats, lines = self.decomp()
+        paddrs, flats, lines = self.probe_order()
         lats = self.process.machine.cpu_access_many(
-            self.probe_order_paddrs(),
-            timed=True,
-            decomp=(flats[::-1], lines[::-1]),
+            paddrs, timed=True, decomp=(flats, lines)
         )
         self.flip()
         misses = int((lats > self.threshold.threshold).sum())
         tele = self._telemetry
         if tele is not None and tele.metrics.enabled:
             tele.metrics.histogram("probe.latency_cycles").observe_many(lats)
-            tele.metrics.counter("probe.accesses").inc(len(self.addrs))
+            tele.metrics.counter("probe.accesses").inc(len(self))
             if misses:
                 tele.metrics.counter("probe.misses").inc(misses)
             registry = quality_registry(tele)
@@ -158,14 +156,12 @@ class EvictionSet:
         """
         machine = self.process.machine
         timing = machine.llc.timing
-        flats, lines = self.decomp()
-        lats = machine.cpu_access_many(
-            self.probe_order_paddrs(), decomp=(flats[::-1], lines[::-1])
-        )
+        paddrs, flats, lines = self.probe_order()
+        lats = machine.cpu_access_many(paddrs, decomp=(flats, lines))
         self.flip()
         total = int(lats.sum())
         machine.clock.advance(timing.measure_overhead)
-        baseline = timing.llc_hit_latency * len(self.addrs)
+        baseline = timing.llc_hit_latency * len(self)
         return max(
             0,
             round((total - baseline) / (timing.llc_miss_latency - timing.llc_hit_latency)),

@@ -96,6 +96,26 @@ class SampleTrace:
         return self._fractions
 
 
+def _probe_order_arrays(
+    sets: list[EvictionSet], cache: dict
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenated next-probe ``(paddrs, flats, lines)`` over ``sets``.
+
+    Keyed in ``cache`` by each set's flip parity: a sweep flips every set
+    together, so steady-state probing ping-pongs between two cached
+    signatures and never re-concatenates.
+    """
+    key = bytes(es.version & 1 for es in sets)
+    cached = cache.get(key)
+    if cached is None:
+        parts = [es.probe_order() for es in sets]
+        cached = tuple(np.concatenate(column) for column in zip(*parts))
+        if len(cache) >= 4:
+            cache.clear()
+        cache[key] = cached
+    return cached
+
+
 class SetSweep:
     """One batched timed probe over a fixed list of eviction sets.
 
@@ -117,20 +137,11 @@ class SetSweep:
         self._cache: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._offsets: np.ndarray | None = None
         self._thresholds: np.ndarray | None = None
+        #: Accesses per probe: every set's lines, once each.
+        self.n_accesses = sum(len(es) for es in self.sets)
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        key = bytes(es.version & 1 for es in self.sets)
-        cached = self._cache.get(key)
-        if cached is None:
-            decomps = [es.decomp() for es in self.sets]
-            cached = (
-                np.concatenate([es.probe_order_paddrs() for es in self.sets]),
-                np.concatenate([f[::-1] for f, _l in decomps]),
-                np.concatenate([l[::-1] for _f, l in decomps]),
-            )
-            if len(self._cache) >= 4:
-                self._cache.clear()
-            self._cache[key] = cached
+        cached = _probe_order_arrays(self.sets, self._cache)
         if self._offsets is None:
             lens = np.fromiter(
                 (len(es) for es in self.sets), np.int64, count=len(self.sets)
@@ -167,6 +178,51 @@ class SetSweep:
                 record_probe_latencies(registry, lats, self._thresholds)
         return counts
 
+    def quiet_cycles(self) -> int:
+        """Cycles one probe takes when every access hits."""
+        timing = self.process.machine.llc.timing
+        return self.n_accesses * (timing.llc_hit_latency + timing.measure_overhead)
+
+    def fast_forward(self, k: int) -> None:
+        """Apply ``k`` back-to-back quiet probes in one step.
+
+        A quiet probe hits on every line, reports no miss and takes
+        :meth:`quiet_cycles`.  The caller guarantees what makes all ``k``
+        quiet: every swept line is resident, a hit reads as no miss under
+        the sets' thresholds, no event fires before the ``k``-th probe
+        ends, no fault plan jitters the timer, and no re-key falls inside
+        the ``k`` probes' accesses.  The clock, the LLC
+        (:meth:`~repro.cache.llc.SlicedLLC.repeat_hits`), each set's
+        zig-zag orientation and the telemetry then end exactly as after
+        ``k`` calls of :meth:`probe`.
+        """
+        if k < 1:
+            raise ValueError(f"fast_forward needs k >= 1, got {k}")
+        machine = self.process.machine
+        timing = machine.llc.timing
+        # Only the k-th probe's stamps survive: orient the sets for it.
+        for es in self.sets:
+            es.flip(k - 1)
+        combined, flats, lines = self._arrays()
+        machine.llc.repeat_hits(combined, k, decomp=(flats, lines))
+        for es in self.sets:
+            es.flip()
+        machine.clock.advance(k * self.quiet_cycles())
+        tele = machine.telemetry
+        if tele is not None and tele.metrics.enabled:
+            lats = np.full(
+                self.n_accesses,
+                timing.llc_hit_latency + timing.measure_overhead,
+                dtype=np.int64,
+            )
+            tele.metrics.histogram("probe.latency_cycles").observe_many(
+                lats, repeat=k
+            )
+            tele.metrics.counter("probe.accesses").inc(self.n_accesses * k)
+            registry = quality_registry(tele)
+            if registry is not None:
+                record_probe_latencies(registry, lats, self._thresholds, repeat=k)
+
 
 class ProbeMonitor:
     """Prime+probe driver over a fixed monitor list."""
@@ -196,25 +252,8 @@ class ProbeMonitor:
         self._quality_acc: ProbeSweepAccumulator | None = None
 
     def _sweep_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(paddrs, flats, lines) of the full probe-order sweep, cached.
-
-        Keyed by each set's flip parity: after a whole-monitor sweep every
-        set flips together, so steady-state sampling ping-pongs between
-        two cached signatures and never re-concatenates.
-        """
-        key = bytes(es.version & 1 for es in self.sets)
-        cached = self._sweep_cache.get(key)
-        if cached is None:
-            parts = [es.probe_order_paddrs() for es in self.sets]
-            decomps = [es.decomp() for es in self.sets]
-            cached = (
-                np.concatenate(parts),
-                np.concatenate([f[::-1] for f, _l in decomps]),
-                np.concatenate([l[::-1] for _f, l in decomps]),
-            )
-            if len(self._sweep_cache) >= 4:
-                self._sweep_cache.clear()
-            self._sweep_cache[key] = cached
+        """(paddrs, flats, lines) of the full probe-order sweep, cached."""
+        cached = _probe_order_arrays(self.sets, self._sweep_cache)
         if self._lens is None:
             self._lens = np.fromiter(
                 (len(es) for es in self.sets), np.int64, count=len(self.sets)

@@ -118,7 +118,7 @@ def bench_legacy_sweep(machine: Machine, monitor: ProbeMonitor, rounds: int) -> 
         timing=machine.config.timing,
     )
     traversals = [
-        [int(p) for p in es.probe_order_paddrs()] for es in monitor.sets
+        [int(p) for p in es.probe_order()[0]] for es in monitor.sets
     ]
     thresholds = [es.threshold for es in monitor.sets]
     for traversal in traversals:  # prime

@@ -608,6 +608,7 @@ class CacheEngine:
         flats: np.ndarray,
         ways: np.ndarray,
         set_dirty: bool = False,
+        repeats: int = 1,
     ) -> None:
         """Bulk MRU-stamp resident lines at ``(flats, ways)`` in order.
 
@@ -616,13 +617,18 @@ class CacheEngine:
         of the same accesses.  Duplicate positions are fine: numpy fancy
         assignment keeps the *last* stamp, which is what sequential
         touching would do.
+
+        ``repeats`` > 1 applies that many back-to-back touches of the same
+        positions: each repetition overwrites every stamp the previous one
+        left, so the tick advances by ``n * repeats`` and only the last
+        repetition's stamps are written.
         """
         n = len(flats)
         if not n:
             return
         idx = flats * self.ways + ways
-        t0 = self._tick + 1
-        self._tick += n
+        t0 = self._tick + 1 + n * (repeats - 1)
+        self._tick += n * repeats
         self.stamps[idx] = np.arange(t0, t0 + n, dtype=np.int64)
         if set_dirty:
             self.flags[idx] |= LINE_DIRTY

@@ -441,6 +441,43 @@ class SlicedLLC:
             lats[clean] = hit_latency
         return hits, lats
 
+    def repeat_hits(
+        self,
+        paddrs: np.ndarray,
+        repeats: int,
+        decomp: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> None:
+        """Apply ``repeats`` back-to-back reads of lines that are all resident.
+
+        Exactly what ``repeats`` consecutive :meth:`access_many` calls over
+        the same lines leave behind when every access hits: hits never
+        evict, fill, or consult the partition and hooks, so they add
+        ``n * repeats`` CPU hits (and epoch accesses) and, since every
+        repetition restamps every line, only the last one's stamps
+        survive.  ``paddrs`` is in that last repetition's order; earlier
+        ones may visit the same lines in any order (a zig-zag sweep
+        alternates).  Raises if a line is not resident or a re-key would
+        fall inside the repetitions, the two things that would make one
+        of them miss.
+        """
+        paddrs = np.asarray(paddrs, dtype=np.int64)
+        n = len(paddrs) * repeats
+        if self._epochal:
+            decomp = None  # may predate a re-key; recompute below
+            if n > self.accesses_until_rekey():
+                raise ValueError(
+                    f"{n} repeated accesses cross the re-key "
+                    f"{self.accesses_until_rekey()} accesses ahead"
+                )
+        flats, lines = decomp if decomp is not None else self.decompose_many(paddrs)
+        hit, ways = self.engine.lookup_many(flats, lines)
+        if not hit.all():
+            raise ValueError("repeat_hits needs every line resident")
+        self.engine.touch_many(flats, ways, repeats=repeats)
+        self.stats.cpu_hits += n
+        if self._epochal:
+            self._access_count += n
+
     # ------------------------------------------------------------------
     # I/O (DMA) path
     # ------------------------------------------------------------------

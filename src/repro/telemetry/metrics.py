@@ -81,23 +81,31 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    def observe_many(self, values) -> None:
+    def observe_many(self, values, repeat: int = 1) -> None:
         """Batched :meth:`observe` — same final state, one numpy pass.
 
         ``value <= edge`` bucketing matches the scalar loop exactly:
         ``searchsorted(side="left")`` returns the first edge >= value, and
         index ``len(buckets)`` is the implicit overflow bucket.
+
+        ``repeat`` observes ``values`` that many times, leaving exactly
+        the state of ``repeat`` separate calls: the batch's float sum is
+        added once per repeat, in the same order.
         """
         arr = np.asarray(values, dtype=np.float64)
-        if arr.size == 0:
+        if arr.size == 0 or repeat < 1:
             return
         idx = np.searchsorted(self._edges, arr, side="left")
         binned = np.bincount(idx, minlength=len(self.buckets) + 1)
         for i, n in enumerate(binned):
             if n:
-                self.counts[i] += int(n)
-        self.sum += float(arr.sum())
-        self.count += arr.size
+                self.counts[i] += int(n) * repeat
+        batch_sum = float(arr.sum())
+        total = self.sum
+        for _ in range(repeat):
+            total += batch_sum
+        self.sum = total
+        self.count += arr.size * repeat
         lo = float(arr.min())
         hi = float(arr.max())
         if self.min is None or lo < self.min:

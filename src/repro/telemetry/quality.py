@@ -322,20 +322,22 @@ class ProbeSweepAccumulator:
         self._pending.clear()
 
 
-def record_probe_latencies(registry: MetricsRegistry, lats, threshold) -> None:
+def record_probe_latencies(
+    registry: MetricsRegistry, lats, threshold, repeat: int = 1
+) -> None:
     """Margin-only variant for single probes and batched set sweeps.
 
     ``threshold`` is a scalar (one set's probe) or a per-access float
     vector aligned with ``lats`` (a :class:`~repro.attack.primeprobe.SetSweep`
     over sets with differing thresholds); the recorded margins are
-    identical either way.
+    identical either way.  ``repeat`` records ``repeat`` identical probes.
     """
     margins = np.abs(
         np.asarray(lats, dtype=np.float64) - np.asarray(threshold, dtype=np.float64)
     )
     registry.histogram(
         "quality.probe.margin_cycles", MARGIN_CYCLES_BUCKETS
-    ).observe_many(margins)
+    ).observe_many(margins, repeat=repeat)
 
 
 def record_evset_report(registry: MetricsRegistry, report) -> None:

@@ -126,6 +126,20 @@ class TestMetrics:
         assert hist.min == 5 and hist.max == 99
         assert hist.mean == pytest.approx((5 + 10 + 15 + 99) / 4)
 
+    @pytest.mark.parametrize(
+        "values",
+        [[70.0, 70.0, 70.0], [0.1, 44.7, 3.3, 1e6], [12.5, 260.0]],
+    )
+    def test_observe_many_repeat_equals_separate_calls(self, values):
+        repeated, separate = Histogram(), Histogram()
+        for hist in (repeated, separate):
+            hist.observe(0.3)  # a fractional running sum before the batch
+        repeated.observe_many(values, repeat=37)
+        for _ in range(37):
+            separate.observe_many(values)
+        assert repeated.to_dict() == separate.to_dict()
+        assert repeated.sum == separate.sum  # bit-equal, not approximately
+
     def test_histogram_merge_requires_same_buckets(self):
         a, b = Histogram(buckets=(10, 20)), Histogram(buckets=(10, 20))
         a.observe(5)
