@@ -57,6 +57,7 @@ from repro.attack.timing import LatencyThreshold
 from repro.cache.legacy import LegacySlicedLLC
 from repro.core.config import MachineConfig
 from repro.core.machine import Machine
+from repro.nic.legacy import install_legacy_nic
 
 N_SETS = 256
 HUGE_PAGES = 24
@@ -150,10 +151,19 @@ def _rx_frames(n_frames: int):
     return frames
 
 
+def _rx_machine(legacy: bool) -> Machine:
+    """A bench-scale machine with the batched or the frozen rx datapath."""
+    machine = Machine(MachineConfig().bench_scale())
+    if legacy:
+        install_legacy_nic(machine)
+    else:
+        machine.install_nic()
+    return machine
+
+
 def _bench_rx_direct(legacy: bool, n_frames: int) -> float:
     """Seconds to push ``n_frames`` straight through ``nic.deliver``."""
-    machine = Machine(MachineConfig().bench_scale())
-    machine.install_nic(legacy=legacy)
+    machine = _rx_machine(legacy)
     deliver = machine.nic.deliver
     warmup = _rx_frames(n_frames // 10)
     for frame in warmup:
@@ -170,9 +180,7 @@ def _bench_rx_stream(legacy: bool, n_frames: int) -> float:
     stream + idle loop), exercising burst drains on the batched side."""
     from repro.net.traffic import PatternStream
 
-    machine = Machine(MachineConfig().bench_scale())
-    machine.install_nic(legacy=legacy)
-    machine.allow_bursts = not legacy
+    machine = _rx_machine(legacy)
     sizes = [frame.size for frame in _rx_frames(n_frames)]
     source = PatternStream(sizes, rate_pps=1e6, protocol="tcp")
     t0 = time.perf_counter()

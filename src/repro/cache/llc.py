@@ -653,36 +653,25 @@ class SlicedLLC:
         stamp_offs: np.ndarray,
         total_ops: int,
         folded_hits: int,
-    ) -> bool:
+    ) -> None:
         """Apply a multi-frame rx burst's cache-op stream in one engine call.
 
         The NIC's drained-burst path (:meth:`repro.nic.nic.Nic.
         deliver_burst`) hands over the flattened footprint-op stream of
         many back-to-back frames — see :meth:`CacheEngine.rx_burst_apply`
         for the encoding and the round-by-rank application.
-        ``folded_hits`` counts the driver re-touches of same-frame fills
+        ``folded_hits`` counts the driver re-touches of same-frame lines
         that were folded into ``stamp_offs`` (guaranteed hits, attributed
         here).
 
-        Returns False — with no state touched — when the vanilla-DDIO
-        kernel cannot represent the machine's policy (partition, hooks,
-        DDIO off, degenerate cap, a randomized index backend); the
-        caller then replays the frames through the scalar-equivalent
-        per-frame path.
+        Raises, with no state touched, when :meth:`supports_rx_burst`
+        does not hold.
         """
-        if (
-            not self.ddio.enabled
-            or self.ddio.write_allocate_ways < 1
-            or self.partition is not None
-            or self.evict_hook is not None
-            or self.io_fill_hook is not None
-            # Epochal backends: the caller's template decomps may predate
-            # a re-key (and one could fall mid-burst); skewed backends:
-            # the kernel's victim policy is not way-restricted.
-            or self._epochal
-            or self._skewed
-        ):
-            return False
+        if not self.supports_rx_burst():
+            raise RuntimeError(
+                "the rx burst kernel cannot model this cache policy "
+                "(see SlicedLLC.supports_rx_burst)"
+            )
         pre_res, ev_pos, ev_lines, ev_flags = self.engine.rx_burst_apply(
             flats, lines, kinds, stamp_offs, total_ops, self.ddio.write_allocate_ways
         )
@@ -703,7 +692,7 @@ class SlicedLLC:
         if n_fills_new and self.telemetry is not None:
             self.telemetry.on_dma_fill(n_fills_new)
         if ev_pos is None:
-            return True
+            return
         dirty = int((ev_flags & LINE_DIRTY != 0).sum())
         stats.writebacks += dirty
         self.traffic.writes += dirty
@@ -718,7 +707,6 @@ class SlicedLLC:
                 for line in ev_lines[io_cpu].tolist():
                     self.telemetry.on_io_evict_cpu(int(line))
         stats.cpu_evicted_io += int((~by_io & victims_io).sum())
-        return True
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -774,9 +762,19 @@ class SlicedLLC:
             self.stats.cpu_evicted_io += 1
 
     def supports_rx_burst(self) -> bool:
-        """Whether the cross-frame rx burst kernel can model this cache's
-        policy (static, unskewed index backend)."""
-        return not (self._epochal or self._skewed)
+        """Whether :meth:`rx_burst` models this cache's policy — the one
+        list of what it covers: vanilla DDIO with an I/O way, no partition
+        or per-line hook, and a static (no mid-burst re-key), unskewed (no
+        way-restricted victims) index backend."""
+        return (
+            self.ddio.enabled
+            and self.ddio.write_allocate_ways >= 1
+            and self.partition is None
+            and self.evict_hook is None
+            and self.io_fill_hook is None
+            and not self._epochal
+            and not self._skewed
+        )
 
     # ------------------------------------------------------------------
     # Introspection (instrumentation / ground truth, not attacker-visible)

@@ -155,8 +155,8 @@ class Machine:
         #: burst-capable event (``Event.drain``) a whole window of
         #: simulated time — the traffic sources use this to deliver frame
         #: bursts without one heap round-trip per frame.  Set False to
-        #: force the scalar per-event path (the differential harness does,
-        #: to pin burst-vs-scalar equivalence).
+        #: force the scalar per-event path (the frozen reference NIC of
+        #: :mod:`repro.nic.legacy` does: it has no burst path).
         self.allow_bursts = True
         #: Seeded fault injection (None when cfg.faults is all-zero, in
         #: which case no fault machinery exists and behaviour is
@@ -179,28 +179,22 @@ class Machine:
         shared_page_prob: float = 0.0,
         log_receives: bool = False,
         node: int = 0,
-        legacy: bool = False,
     ):
-        """Create and wire the rx ring, IGB driver and NIC; returns the NIC.
-
-        ``legacy=True`` installs the frozen scalar datapath from
-        :mod:`repro.nic.legacy` instead — reference side of the rx
-        differential harness and benchmark only.
-        """
+        """Create and wire the rx ring, IGB driver and NIC; returns the NIC."""
         # Imported here to keep core free of a package cycle.
-        from repro.nic.nic import RxTemplates
-        from repro.nic.ring import RxRing
+        from repro.nic.driver import IgbDriver
+        from repro.nic.nic import Nic
 
-        if legacy:
-            from repro.nic.legacy import LegacyIgbDriver as driver_cls
-            from repro.nic.legacy import LegacyNic as nic_cls
-        else:
-            from repro.nic.driver import IgbDriver as driver_cls
-            from repro.nic.nic import Nic as nic_cls
+        return self._wire_nic(IgbDriver, Nic, shared_page_prob, log_receives, node)
+
+    def _wire_nic(self, driver_cls, nic_cls, shared_page_prob, log_receives, node):
+        """Build the rx ring and wire a driver and NIC of the given classes
+        onto it, seeded from the machine seed (the frozen reference path,
+        :func:`repro.nic.legacy.install_legacy_nic`, shares the seeds)."""
+        from repro.nic.ring import RxRing
 
         if self.nic is not None:
             raise RuntimeError("NIC already installed")
-        self._nic_legacy = legacy
 
         def build_ring() -> RxRing:
             return RxRing(
@@ -226,28 +220,15 @@ class Machine:
                 self.ring = build_ring()
         else:
             self.ring = build_ring()
-        if legacy:
-            self.driver = driver_cls(
-                self,
-                self.ring,
-                config=self.config.ring,
-                shared_page_prob=shared_page_prob,
-                log_receives=log_receives,
-                rng=random.Random(self.config.seed + 3),
-            )
-            self.nic = nic_cls(self, self.ring, self.driver)
-        else:
-            templates = RxTemplates(self.llc, self.config.ring.buffer_size)
-            self.driver = driver_cls(
-                self,
-                self.ring,
-                config=self.config.ring,
-                shared_page_prob=shared_page_prob,
-                log_receives=log_receives,
-                rng=random.Random(self.config.seed + 3),
-                templates=templates,
-            )
-            self.nic = nic_cls(self, self.ring, self.driver, templates=templates)
+        self.driver = driver_cls(
+            self,
+            self.ring,
+            config=self.config.ring,
+            shared_page_prob=shared_page_prob,
+            log_receives=log_receives,
+            rng=random.Random(self.config.seed + 3),
+        )
+        self.nic = nic_cls(self, self.ring, self.driver)
         return self.nic
 
     def restart_networking(self) -> None:
@@ -260,11 +241,7 @@ class Machine:
         log = self.driver.log_receives
         shared = self.driver.shared_page_prob
         self.nic = None
-        self.install_nic(
-            shared_page_prob=shared,
-            log_receives=log,
-            legacy=getattr(self, "_nic_legacy", False),
-        )
+        self.install_nic(shared_page_prob=shared, log_receives=log)
 
     def new_process(self, name: str) -> Process:
         """Create a CPU process on this machine."""

@@ -140,10 +140,10 @@ class TrafficSource(ABC):
         interleaving observable.
 
         When the source iterator is pure (:attr:`pure_frames`) and the NIC
-        supports it, deliveries are additionally *batched*: frames are
-        collected with their arrival cycles and handed to
-        ``Nic.deliver_burst`` in groups, which vectorises the cache work
-        of the whole group across frames.  Batch state is bit-identical to
+        can batch (``Nic.can_batch``), deliveries are additionally
+        *batched*: frames are collected with their arrival cycles and
+        handed to ``Nic.deliver_burst`` in groups, which vectorises the
+        cache work of the whole group across frames.  Batch state is bit-identical to
         the per-frame drain (pinned by ``tests/test_rx_equivalence.py``).
         """
         machine = self._machine
@@ -151,12 +151,7 @@ class TrafficSource(ABC):
         events = machine.events
         nic = self._nic
         burstable = self._burstable()
-        deliver_burst = getattr(nic, "deliver_burst", None) if burstable else None
-        batch = (
-            []
-            if deliver_burst is not None and self.pure_frames and nic.can_batch()
-            else None
-        )
+        batch = [] if burstable and self.pure_frames and nic.can_batch() else None
         while True:
             if batch is None:
                 self._deliver_pending()
@@ -167,7 +162,7 @@ class TrafficSource(ABC):
                 batch.append((clock.now, frame))
                 self.sent += 1
                 if len(batch) >= _BATCH_MAX:
-                    deliver_burst(batch)
+                    nic.deliver_burst(batch)
                     batch = []
             if self._stopped:
                 break
@@ -185,7 +180,7 @@ class TrafficSource(ABC):
                 break
             clock.advance_to(at)
         if batch:
-            deliver_burst(batch)
+            nic.deliver_burst(batch)
 
 
 class ConstantStream(TrafficSource):

@@ -21,17 +21,23 @@ Receive-path behaviour reproduced here:
   no skb, no flip — yet the payload already sits in the LLC if DDIO wrote
   it there, which is what makes the covert channel stealthy.
 
-Since the rx-datapath refactor each of those touch sequences is a slice of
-a precomputed per-buffer block template (:class:`repro.nic.nic.
-RxTemplates`) issued through one batched :meth:`~repro.cache.llc.
-SlicedLLC.access_many` call, and the skb slab writes ride a precomputed
-decomposition of the recycled slab region.  The scalar original is frozen
-in :mod:`repro.nic.legacy` and pinned bit-identical by
+Each receive is described once.  :meth:`IgbDriver._prep` runs its control
+flow (stats, receive log, skb cursor, page flip or replacement,
+randomizer), none of which reads cache state; :meth:`IgbDriver._reads`
+lists the buffer blocks it reads, in order, and
+:meth:`IgbDriver._skb_count` the skb lines it writes.  Per-frame
+:meth:`IgbDriver.receive` issues that sequence as batched
+:meth:`~repro.cache.llc.SlicedLLC.access_many` calls over the buffer's
+precomputed decomposition (:class:`RxTemplates`); the NIC's cross-frame
+burst path folds the same sequence into a footprint-op template
+(:meth:`IgbDriver._burst_template`).  The scalar original is frozen in
+:mod:`repro.nic.legacy` and pinned bit-identical by
 ``tests/test_rx_equivalence.py``.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -73,8 +79,46 @@ class ReceiveRecord:
     symbol: int | None = None
 
 
+class RxTemplates:
+    """Per-buffer block-address templates for the batched rx datapath.
+
+    An rx buffer is a fixed run of consecutive cache lines, so every touch
+    sequence the NIC and driver issue against it — the DMA fill, the
+    driver's reads — is an index into one precomputed decomposition of
+    ``base + [0, line, 2*line, ...]``.  The template is computed once per
+    buffer base address and shared by the NIC and the driver; the cache is
+    bounded because the randomization defenses replace buffer pages
+    continuously.
+    """
+
+    _MAX_ENTRIES = 4096
+
+    __slots__ = ("llc", "offsets", "_cache")
+
+    def __init__(self, llc, buffer_size: int) -> None:
+        self.llc = llc
+        line = llc.geometry.line_size
+        self.offsets = np.arange(buffer_size // line, dtype=np.int64) * line
+        self._cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def decomp(self, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(paddrs, flats, lines)`` arrays for every block of the buffer
+        at ``base``; slice before use."""
+        entry = self._cache.get(base)
+        if entry is None:
+            if len(self._cache) >= self._MAX_ENTRIES:
+                self._cache.clear()
+            paddrs = base + self.offsets
+            flats, lines = self.llc.decompose_many(paddrs)
+            entry = (paddrs, flats, lines)
+            self._cache[base] = entry
+        return entry
+
+
 class IgbDriver:
     """The driver half of the receive path."""
+
+    _PATH_BCAST, _PATH_COPY, _PATH_FRAG = 0, 1, 2
 
     def __init__(
         self,
@@ -84,7 +128,6 @@ class IgbDriver:
         shared_page_prob: float = 0.0,
         log_receives: bool = False,
         rng: random.Random | None = None,
-        templates=None,
     ) -> None:
         self.machine = machine
         self.ring = ring
@@ -98,16 +141,11 @@ class IgbDriver:
         #: Optional randomization defense (see repro.defense.randomization).
         self.randomizer = None
         self._line = machine.llc.geometry.line_size
-        #: Shared per-buffer block templates (set by Machine.install_nic to
-        #: the same object the NIC uses; built lazily when constructed bare).
-        if templates is None:
-            from repro.nic.nic import RxTemplates
-
-            templates = RxTemplates(machine.llc, self.config.buffer_size)
-        self.templates = templates
+        #: Per-buffer block decompositions, shared with the NIC's DMA fill.
+        self.templates = RxTemplates(machine.llc, self.config.buffer_size)
         # skb slab: a modest recycled kernel region the copy path writes to.
         # The region is fixed at driver init, so its translation and cache
-        # decomposition are precomputed once and sliced per write.
+        # decomposition are precomputed once and indexed per write.
         self._skb_region = machine.kernel.mmap(16)
         self._skb_cursor = 0
         self._skb_lines = 16 * machine.physmem.page_size // self._line
@@ -122,12 +160,142 @@ class IgbDriver:
         self._skb_flats, self._skb_line_ids = machine.llc.decompose_many(
             self._skb_paddrs
         )
-        # Footprint-op templates for the cross-frame burst path, keyed by
-        # (path, n_blocks); see _burst_template.
-        self._burst_tmpl: dict[tuple[int, int], tuple] = {}
 
     # ------------------------------------------------------------------
-    # Receive path
+    # What one receive does
+    # ------------------------------------------------------------------
+    @staticmethod
+    @functools.cache
+    def _reads(path: int, n: int) -> np.ndarray:
+        """Buffer blocks a ``path`` frame of ``n`` blocks reads, in order.
+
+        Every receive reads the header and prefetches block 1, even for a
+        one-block frame.  A copy then reads every frame block into the
+        skb; a fragment hands the rest of the payload (blocks 2 and up) to
+        the stack.  A broadcast reads nothing more.
+        """
+        if path == IgbDriver._PATH_COPY:
+            blocks = [0, 1, *range(n)]
+        elif path == IgbDriver._PATH_FRAG:
+            blocks = [0, 1, *range(2, n)]
+        else:
+            blocks = [0, 1]
+        reads = np.array(blocks, dtype=np.intp)
+        reads.flags.writeable = False  # cached: shared by every receive
+        return reads
+
+    @staticmethod
+    def _skb_count(path: int, n: int) -> int:
+        """skb lines a ``path`` frame of ``n`` blocks writes: the copied
+        frame, or a fragment's metadata only (its payload stays in the
+        page)."""
+        if path == IgbDriver._PATH_COPY:
+            return n
+        return 2 if path == IgbDriver._PATH_FRAG else 0
+
+    @staticmethod
+    @functools.cache
+    def _burst_template(path: int, n: int) -> tuple:
+        """Footprint-op template for one received frame: ``(kinds,
+        final_offs, span, folded_hits, buf_ops)``.
+
+        Folded mechanically from the frame's sequential cache-op stream —
+        DMA fills of blocks ``0..n-1``, then :meth:`_reads`, then the skb
+        writes — where each op is one LRU tick.  Each buffer line becomes
+        one op, in block order: kind 0 if the frame filled it, 1 if the
+        driver only reads it; each skb write is an op of kind 2.
+        ``final_offs`` stamps every op at its line's last position in the
+        stream.  A line's re-touches cannot miss (the frame's other
+        buffer lines sit in other sets, and the skb writes come after), so
+        they are counted in ``folded_hits`` instead.  ``span`` is the
+        frame's total tick count and ``buf_ops`` its number of buffer ops;
+        the touched blocks are always ``0..buf_ops-1``.
+        """
+        stream = [*range(n), *IgbDriver._reads(path, n).tolist()]
+        last = {block: pos for pos, block in enumerate(stream)}
+        blocks = sorted(last)
+        assert blocks == list(range(len(blocks)))
+        span = len(stream)
+        n_skb = IgbDriver._skb_count(path, n)
+        kinds = np.array(
+            [0 if block < n else 1 for block in blocks] + [2] * n_skb, dtype=np.uint8
+        )
+        offs = np.array(
+            [last[block] for block in blocks] + list(range(span, span + n_skb)),
+            dtype=np.int64,
+        )
+        kinds.flags.writeable = offs.flags.writeable = False  # cached, shared
+        return kinds, offs, span + n_skb, span - len(blocks), len(blocks)
+
+    def _prep(
+        self, frame: Frame, buffer: RxBuffer, ring_slot: int, now: int
+    ) -> tuple[int, slice | np.ndarray | None]:
+        """The receive's control flow: stats, receive log, skb cursor, page
+        flip or replacement, randomizer.
+
+        None of it reads cache state, so both delivery paths run it before
+        the frame's cache touches.  It may flip or replace ``buffer``: take
+        its address first.  Returns ``(path, skb)``, where ``skb`` indexes
+        the slab lines the frame writes (a slice, or an index array when
+        the cursor wraps; None for a broadcast, which builds no skb).
+        """
+        n = frame.n_blocks(self._line)
+        self.stats.frames += 1
+        if self.log_receives:
+            self.receive_log.append(
+                ReceiveRecord(
+                    time=now,
+                    ring_slot=ring_slot,
+                    page_paddr=buffer.page_paddr,
+                    dma_paddr=buffer.dma_paddr,
+                    n_blocks=n,
+                    size=frame.size,
+                    symbol=frame.symbol,
+                )
+            )
+        skb = None
+        if frame.is_broadcast():
+            path = self._PATH_BCAST
+            self.stats.discarded += 1
+        elif frame.size <= self.config.copy_threshold:
+            path = self._PATH_COPY
+            self.stats.copied += 1
+            skb = self._skb_take(self._skb_count(path, n))
+            if buffer.node != self.local_node:
+                # Remote page: put_page + fresh allocation (cannot be reused).
+                self._replace(buffer)
+        else:
+            path = self._PATH_FRAG
+            self.stats.fragged += 1
+            skb = self._skb_take(self._skb_count(path, n))
+            if buffer.node != self.local_node or self.rng.random() < self.shared_page_prob:
+                self._replace(buffer)
+            else:
+                buffer.flip(self.config.buffer_size)
+                self.stats.page_flips += 1
+                tele = self.machine.telemetry
+                if tele is not None and tele.tracer.enabled:
+                    tele.tracer.instant(
+                        "page-flip",
+                        cat="driver",
+                        args={"slot": buffer.index, "offset": buffer.page_offset},
+                    )
+        if self.randomizer is not None:
+            self.randomizer.on_packet(self, buffer)
+        return path, skb
+
+    def _skb_take(self, n_lines: int) -> slice | np.ndarray:
+        """Advance the recycled skb slab's cursor by ``n_lines``; returns
+        the slab indices of the lines passed over."""
+        wrap = self._skb_lines
+        start = self._skb_cursor % wrap
+        self._skb_cursor += n_lines
+        if start + n_lines <= wrap:
+            return slice(start, start + n_lines)
+        return np.arange(start, start + n_lines) % wrap
+
+    # ------------------------------------------------------------------
+    # Per-frame receive
     # ------------------------------------------------------------------
     def receive(self, frame: Frame, buffer: RxBuffer, ring_slot: int) -> None:
         """Process one frame that the NIC has DMA'd into ``buffer``."""
@@ -148,109 +316,42 @@ class IgbDriver:
         self._receive(frame, buffer, ring_slot)
 
     def _receive(self, frame: Frame, buffer: RxBuffer, ring_slot: int) -> None:
-        llc = self.machine.llc
-        now = self.machine.clock.now
-        base = buffer.dma_paddr
-        self.stats.frames += 1
-        if self.log_receives:
-            self.receive_log.append(
-                ReceiveRecord(
-                    time=now,
-                    ring_slot=ring_slot,
-                    page_paddr=buffer.page_paddr,
-                    dma_paddr=base,
-                    n_blocks=frame.n_blocks(self._line),
-                    size=frame.size,
-                    symbol=frame.symbol,
-                )
-            )
-        if frame.is_broadcast():
-            # Unknown protocol: header read + unconditional prefetch of the
-            # second block, then dropped before any skb is built.  Two
-            # scalar accesses beat the batch setup cost on this (covert
-            # channel) hot path.
+        machine = self.machine
+        llc = machine.llc
+        now = machine.clock.now
+        base = buffer.dma_paddr  # before _prep flips or replaces the buffer
+        path, skb = self._prep(frame, buffer, ring_slot, now)
+        if path == self._PATH_BCAST:
+            # A broadcast reads blocks 0 and 1 only: two scalar accesses beat
+            # the batch setup cost on this (covert channel) hot path.
             llc.cpu_access(base, now=now)
             llc.cpu_access(base + self._line, now=now)
-            self.stats.discarded += 1
-            self._after_packet(buffer)
             return
-
-        if frame.size <= self.config.copy_threshold:
-            self._copy_small(frame, buffer)
-        else:
-            self._frag_large(frame, buffer)
-        self._after_packet(buffer)
-
-    def _copy_small(self, frame: Frame, buffer: RxBuffer) -> None:
-        """memcpy path of igb_add_rx_frag: read frame, write into skb.
-
-        One batched call issues the header+prefetch reads (blocks 0 and 1)
-        followed by the copy's read of every frame block — the exact scalar
-        sequence, duplicates included.
-        """
-        llc = self.machine.llc
-        now = self.machine.clock.now
-        n_blocks = frame.n_blocks(self._line)
-        paddrs, flats, lines = self.templates.decomp(buffer.dma_paddr)
-        seq = np.concatenate([paddrs[:2], paddrs[:n_blocks]])
-        decomp = (
-            np.concatenate([flats[:2], flats[:n_blocks]]),
-            np.concatenate([lines[:2], lines[:n_blocks]]),
-        )
-        llc.access_many(seq, now=now, decomp=decomp)
-        self._skb_write(n_blocks)
-        self.stats.copied += 1
-        if buffer.node != self.local_node:
-            # Remote page: put_page + fresh allocation (cannot be reused).
-            self._replace(buffer)
-
-    def _frag_large(self, frame: Frame, buffer: RxBuffer) -> None:
-        """Fragment path: hand the half-page to the stack, try to reuse."""
-        llc = self.machine.llc
-        now = self.machine.clock.now
-        base = buffer.dma_paddr
-        n_blocks = frame.n_blocks(self._line)
         paddrs, flats, lines = self.templates.decomp(base)
-        if llc.ddio.enabled:
-            # Header + prefetch + payload: blocks 0..n-1 in order (the
-            # payload is already cache-resident; the stack reads it now).
-            llc.access_many(
-                paddrs[:n_blocks],
-                now=now,
-                decomp=(flats[:n_blocks], lines[:n_blocks]),
-            )
-        else:
-            # Header read + unconditional prefetch of the second block.
-            llc.access_many(paddrs[:2], now=now, decomp=(flats[:2], lines[:2]))
+        reads = self._reads(path, frame.n_blocks(self._line))
+        deferred = None
+        if path == self._PATH_FRAG and not llc.ddio.enabled:
             # Without DDIO the stack touches the payload noticeably after
             # the header (Huggahalli et al.: < 20k cycles) — the lag that
             # makes size detection of large packets noisier (Section IV-d).
-            delay = llc.timing.payload_touch_delay
+            reads, deferred = reads[:2], reads[2:]
+        llc.access_many(paddrs[reads], now=now, decomp=(flats[reads], lines[reads]))
+        llc.access_many(
+            self._skb_paddrs[skb],
+            write=True,
+            now=now,
+            decomp=(self._skb_flats[skb], self._skb_line_ids[skb]),
+        )
+        if deferred is not None:
 
-            def touch_payload(base=base, n_blocks=n_blocks) -> None:
-                later = self.machine.clock.now
-                p, f, ln = self.templates.decomp(base)
-                llc.access_many(
-                    p[2:n_blocks],
-                    now=later,
-                    decomp=(f[2:n_blocks], ln[2:n_blocks]),
-                )
+            def touch_payload(
+                p=paddrs[deferred], d=(flats[deferred], lines[deferred])
+            ) -> None:
+                llc.access_many(p, now=machine.clock.now, decomp=d)
 
-            self.machine.events.schedule(now + delay, touch_payload, label="payload")
-        self._skb_write(2)  # skb metadata only; payload stays in the page
-        self.stats.fragged += 1
-        if buffer.node != self.local_node or self.rng.random() < self.shared_page_prob:
-            self._replace(buffer)
-        else:
-            buffer.flip(self.config.buffer_size)
-            self.stats.page_flips += 1
-            tele = self.machine.telemetry
-            if tele is not None and tele.tracer.enabled:
-                tele.tracer.instant(
-                    "page-flip",
-                    cat="driver",
-                    args={"slot": buffer.index, "offset": buffer.page_offset},
-                )
+            machine.events.schedule(
+                now + llc.timing.payload_touch_delay, touch_payload, label="payload"
+            )
 
     def _replace(self, buffer: RxBuffer) -> None:
         tele = self.machine.telemetry
@@ -268,172 +369,3 @@ class IgbDriver:
         else:
             self.ring.replace_buffer(buffer.index)
         self.stats.buffers_replaced += 1
-
-    def _after_packet(self, buffer: RxBuffer) -> None:
-        if self.randomizer is not None:
-            self.randomizer.on_packet(self, buffer)
-
-    # ------------------------------------------------------------------
-    # skb slab
-    # ------------------------------------------------------------------
-    def _skb_write(self, n_lines: int) -> None:
-        """Write ``n_lines`` cache lines of skb data (recycled slab)."""
-        llc = self.machine.llc
-        now = self.machine.clock.now
-        cursor = self._skb_cursor
-        wrap = self._skb_lines
-        self._skb_cursor = cursor + n_lines
-        start = cursor % wrap
-        if start + n_lines <= wrap:
-            # Contiguous run: slice views, no fancy-index copies.
-            sl = slice(start, start + n_lines)
-            llc.access_many(
-                self._skb_paddrs[sl],
-                write=True,
-                now=now,
-                decomp=(self._skb_flats[sl], self._skb_line_ids[sl]),
-            )
-            return
-        idx = [(start + i) % wrap for i in range(n_lines)]
-        llc.access_many(
-            self._skb_paddrs[idx],
-            write=True,
-            now=now,
-            decomp=(self._skb_flats[idx], self._skb_line_ids[idx]),
-        )
-
-    # ------------------------------------------------------------------
-    # Cross-frame burst path (see Nic.deliver_burst)
-    # ------------------------------------------------------------------
-    _PATH_BCAST, _PATH_COPY, _PATH_FRAG = 0, 1, 2
-
-    def _burst_prep(
-        self, frame: Frame, buffer: RxBuffer, ring_slot: int, now: int
-    ) -> tuple[int, tuple[int, int], tuple[int, int]]:
-        """Phase-1 receive: all of :meth:`_receive`'s control flow — stats,
-        log, skb cursor, page flip/replace, randomizer — with the cache
-        touches deferred to the caller's burst.  None of these decisions
-        read cache state, so running them ahead of the deferred touches is
-        unobservable.  Returns ``(path, skb_a, skb_b)`` where the skb
-        slices are ``(start, stop)`` index ranges into the slab arrays
-        (the second non-empty only when the cursor wraps).
-        """
-        self.stats.frames += 1
-        if self.log_receives:
-            self.receive_log.append(
-                ReceiveRecord(
-                    time=now,
-                    ring_slot=ring_slot,
-                    page_paddr=buffer.page_paddr,
-                    dma_paddr=buffer.dma_paddr,
-                    n_blocks=frame.n_blocks(self._line),
-                    size=frame.size,
-                    symbol=frame.symbol,
-                )
-            )
-        if frame.is_broadcast():
-            self.stats.discarded += 1
-            self._after_packet(buffer)
-            return self._PATH_BCAST, (0, 0), (0, 0)
-        if frame.size <= self.config.copy_threshold:
-            path = self._PATH_COPY
-            skb_n = frame.n_blocks(self._line)
-            self.stats.copied += 1
-        else:
-            path = self._PATH_FRAG
-            skb_n = 2
-            self.stats.fragged += 1
-        cursor = self._skb_cursor
-        wrap = self._skb_lines
-        self._skb_cursor = cursor + skb_n
-        start = cursor % wrap
-        end = start + skb_n
-        if end <= wrap:
-            skb_a, skb_b = (start, end), (0, 0)
-        else:
-            skb_a, skb_b = (start, wrap), (0, end - wrap)
-        if path == self._PATH_COPY:
-            if buffer.node != self.local_node:
-                self._replace(buffer)
-        elif buffer.node != self.local_node or self.rng.random() < self.shared_page_prob:
-            self._replace(buffer)
-        else:
-            buffer.flip(self.config.buffer_size)
-            self.stats.page_flips += 1
-        self._after_packet(buffer)
-        return path, skb_a, skb_b
-
-    def _burst_template(self, path: int, n: int) -> tuple:
-        """Footprint-op template for one received frame: ``(kinds,
-        final_offs, span, folded_hits, buf_ops)``.
-
-        The frame's sequential cache-op stream is fills of blocks
-        ``0..n-1``, the driver's touch sequence, then the skb writes; each
-        op is one LRU tick.  Touches of blocks the same frame filled are
-        *folded*: they cannot miss, so only the line's last-touch position
-        survives, recorded in ``final_offs`` (op-order-parallel: ``buf_ops``
-        buffer ops — the fills plus, for one-block frames, the block-1
-        prefetch read that was NOT filled — then the skb writes).  ``span``
-        is the frame's total tick count and ``folded_hits`` the number of
-        folded guaranteed-hit touches.
-        """
-        key = (path, n)
-        tmpl = self._burst_tmpl.get(key)
-        if tmpl is not None:
-            return tmpl
-        if path == self._PATH_BCAST:
-            # fills 0..n-1, then reads of blocks 0 and 1.
-            if n == 1:
-                kinds = np.array([0, 1], dtype=np.uint8)
-                offs = np.array([1, 2], dtype=np.int64)
-                tmpl = (kinds, offs, 3, 1, 2)
-            else:
-                kinds = np.zeros(n, dtype=np.uint8)
-                offs = np.arange(n, dtype=np.int64)
-                offs[0] = n
-                offs[1] = n + 1
-                tmpl = (kinds, offs, n + 2, 2, n)
-        elif path == self._PATH_COPY:
-            # fills, reads [0, 1, 0..n-1], skb writes 0..n-1.
-            if n == 1:
-                kinds = np.array([0, 1, 2], dtype=np.uint8)
-                offs = np.array([3, 2, 4], dtype=np.int64)
-                tmpl = (kinds, offs, 5, 2, 2)
-            else:
-                kinds = np.concatenate(
-                    [np.zeros(n, dtype=np.uint8), np.full(n, 2, dtype=np.uint8)]
-                )
-                offs = np.concatenate(
-                    [
-                        n + 2 + np.arange(n, dtype=np.int64),
-                        2 * n + 2 + np.arange(n, dtype=np.int64),
-                    ]
-                )
-                tmpl = (kinds, offs, 3 * n + 2, n + 2, n)
-        else:
-            # fills, reads 0..n-1, two skb writes.
-            kinds = np.concatenate(
-                [np.zeros(n, dtype=np.uint8), np.full(2, 2, dtype=np.uint8)]
-            )
-            offs = np.concatenate(
-                [
-                    n + np.arange(n, dtype=np.int64),
-                    2 * n + np.arange(2, dtype=np.int64),
-                ]
-            )
-            tmpl = (kinds, offs, 2 * n + 2, n, n)
-        self._burst_tmpl[key] = tmpl
-        return tmpl
-
-    def _skb_replay(self, skb_a: tuple[int, int], skb_b: tuple[int, int]) -> None:
-        """Scalar-equivalent skb writes for a burst frame being replayed."""
-        llc = self.machine.llc
-        now = self.machine.clock.now
-        for a, b in (skb_a, skb_b):
-            if b > a:
-                llc.access_many(
-                    self._skb_paddrs[a:b],
-                    write=True,
-                    now=now,
-                    decomp=(self._skb_flats[a:b], self._skb_line_ids[a:b]),
-                )

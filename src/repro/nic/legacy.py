@@ -9,8 +9,8 @@ differential harness (``tests/test_rx_equivalence.py``) and the rx
 benchmark (``repro.bench``), the same role :mod:`repro.cache.legacy` plays
 for the cache engine.
 
-Production code must not import this module; construct the frozen path via
-``Machine.install_nic(legacy=True)``.
+Production code must not import this module (``tests/test_import_graph.py``
+checks it); construct the frozen path via :func:`install_legacy_nic`.
 """
 
 from __future__ import annotations
@@ -20,6 +20,22 @@ import random
 from repro.core.config import RingConfig
 from repro.net.packet import Frame
 from repro.nic.ring import RxBuffer, RxRing
+
+
+def install_legacy_nic(
+    machine, shared_page_prob: float = 0.0, log_receives: bool = False, node: int = 0
+) -> "LegacyNic":
+    """Wire the frozen NIC and driver into ``machine`` in place of
+    ``Machine.install_nic``, from the same ring and driver seeds.
+
+    The frozen NIC has no burst path, so the machine's event loop is set
+    to deliver every frame through the scalar per-event path.
+    """
+    nic = machine._wire_nic(
+        LegacyIgbDriver, LegacyNic, shared_page_prob, log_receives, node
+    )
+    machine.allow_bursts = False
+    return nic
 
 
 class LegacyNic:

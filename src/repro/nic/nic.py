@@ -9,11 +9,15 @@ I/O-to-driver latency) and when the stack touches the payload (later
 still), which delays and blurs — but does not eliminate — the signal
 (Section IV-d of the paper).
 
-Since the rx-datapath refactor the per-frame DMA burst is issued as one
-batched engine call (:meth:`repro.cache.llc.SlicedLLC.io_write_many`)
-over a precomputed block-address template (:class:`RxTemplates`) instead
-of a Python loop of scalar ``io_write`` calls.  The pre-batching path is
-frozen in :mod:`repro.nic.legacy` and pinned bit-identical by
+Each frame's DMA fill is one batched engine call
+(:meth:`repro.cache.llc.SlicedLLC.io_write_many`) over the buffer's
+precomputed decomposition (:class:`repro.nic.driver.RxTemplates`, owned by
+the driver).  Frames that land back-to-back with nothing observing the
+machine in between are delivered as a burst (:meth:`Nic.deliver_burst`):
+the driver's one receive description — its control flow and its touch
+sequence — is run per frame, then the whole burst's cache-op stream is
+applied in one engine call.  The pre-batching path is frozen in
+:mod:`repro.nic.legacy` and pinned bit-identical by
 ``tests/test_rx_equivalence.py``.
 """
 
@@ -46,66 +50,21 @@ class NicStats(CounterStats):
     refill_stalled: int = 0
 
 
-class RxTemplates:
-    """Per-buffer block-address templates for the batched rx datapath.
-
-    An rx buffer is a fixed run of consecutive cache lines, so every touch
-    sequence the NIC and driver issue against it — the DMA fill, the
-    header+prefetch read, the copy/fragment payload reads — is a slice of
-    one precomputed decomposition of ``base + [0, line, 2*line, ...]``.
-    The template is computed once per buffer base address and shared by
-    the NIC and the driver; the cache is bounded because the
-    randomization defenses replace buffer pages continuously.
-    """
-
-    _MAX_ENTRIES = 4096
-
-    __slots__ = ("llc", "offsets", "_cache")
-
-    def __init__(self, llc, buffer_size: int) -> None:
-        self.llc = llc
-        line = llc.geometry.line_size
-        self.offsets = np.arange(buffer_size // line, dtype=np.int64) * line
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def decomp(self, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(paddrs, flats, lines)`` arrays for every block of the buffer
-        at ``base``; slice before use."""
-        entry = self._cache.get(base)
-        if entry is None:
-            if len(self._cache) >= self._MAX_ENTRIES:
-                self._cache.clear()
-            paddrs = base + self.offsets
-            flats, lines = self.llc.decompose_many(paddrs)
-            entry = (paddrs, flats, lines)
-            self._cache[base] = entry
-        return entry
-
-
 class Nic:
     """The adapter: accepts frames, DMAs them, and signals the driver."""
 
-    def __init__(
-        self,
-        machine,
-        ring: RxRing,
-        driver: IgbDriver,
-        templates: RxTemplates | None = None,
-    ) -> None:
+    def __init__(self, machine, ring: RxRing, driver: IgbDriver) -> None:
         self.machine = machine
         self.ring = ring
         self.driver = driver
         self.stats = NicStats()
         self._line = machine.llc.geometry.line_size
-        self.templates = templates or RxTemplates(
-            machine.llc, ring.config.buffer_size
-        )
 
     def _dma_fill(self, base: int, n_blocks: int, now: int) -> None:
         """DMA every block of the frame into the cache hierarchy — the one
         place the fill loop lives (it used to be duplicated per tracer
         branch), now a single batched engine call."""
-        paddrs, flats, lines = self.templates.decomp(base)
+        paddrs, flats, lines = self.driver.templates.decomp(base)
         self.machine.llc.io_write_many(
             paddrs[:n_blocks],
             now=now,
@@ -175,58 +134,39 @@ class Nic:
     # Cross-frame burst delivery
     # ------------------------------------------------------------------
     def can_batch(self) -> bool:
-        """Whether :meth:`deliver_burst` may batch cache work across frames.
-
-        Static machine-level conditions only — per-packet hooks that
-        observe individual fills or evictions, a partition's victim
-        policy, DDIO off (receives detour through the event queue) and
-        fault plans (per-frame drop/stall draws) all force the per-frame
-        path.  The engine may still decline an individual burst
-        (cache-state dependent), which :meth:`deliver_burst` handles by
-        replaying that burst through the scalar-equivalent sequence.
-        """
-        llc = self.machine.llc
-        return (
-            llc.ddio.enabled
-            and llc.ddio.write_allocate_ways >= 1
-            and llc.partition is None
-            and llc.evict_hook is None
-            and llc.io_fill_hook is None
-            and llc.supports_rx_burst()
-            and self.machine.faults is None
-        )
+        """Whether :meth:`deliver_burst` may batch cache work across frames:
+        no fault plan (its drop and stall draws are per frame) and a cache
+        policy the burst kernel models
+        (:meth:`~repro.cache.llc.SlicedLLC.supports_rx_burst`)."""
+        return self.machine.faults is None and self.machine.llc.supports_rx_burst()
 
     def deliver_burst(self, batch: list[tuple[int, "Frame"]]) -> None:
         """Deliver ``[(arrival_cycle, frame), ...]`` back-to-back.
 
         Used by a drained traffic source (``TrafficSource._drain``) when
         :meth:`can_batch` holds and nothing can observe the machine
-        between the arrivals.  Phase 1 runs every frame's *control flow*
-        in arrival order — ring advance, receive stats and log, skb
-        cursor, page flips/replacements and their RNG draws, randomizer
-        hooks — none of which reads cache state.  Phase 2 then applies
-        the concatenated cache-op stream of all frames in one
+        between the arrivals.  Phase 1 runs every frame's control flow in
+        arrival order — ring advance, then the driver's
+        :meth:`~repro.nic.driver.IgbDriver._prep` — none of which reads
+        cache state.  Phase 2 applies the concatenated cache-op stream of
+        all frames, each frame's folded from the driver's touch sequence
+        (:meth:`~repro.nic.driver.IgbDriver._burst_template`), in one
         :meth:`~repro.cache.llc.SlicedLLC.rx_burst` engine call (a
         round-by-rank kernel, see
-        :meth:`~repro.cache.engine.CacheEngine.rx_burst_apply`); should
-        the LLC refuse the stream outright (policy changed under us —
-        cannot happen from a drain, kept as a safety net), each frame's
-        exact scalar-equivalent access sequence is replayed instead.
-        Either way the final machine state is bit-identical to a loop of
+        :meth:`~repro.cache.engine.CacheEngine.rx_burst_apply`).  The
+        final machine state is bit-identical to a loop of
         :meth:`deliver` — pinned by ``tests/test_rx_equivalence.py``.
         """
-        machine = self.machine
-        llc = machine.llc
         driver = self.driver
-        clock = machine.clock
+        clock = self.machine.clock
         ring = self.ring
         buffer_size = ring.config.buffer_size
         stats = self.stats
         line = self._line
+        decomp = driver.templates.decomp
         template = driver._burst_template
         skb_flats = driver._skb_flats
         skb_lines = driver._skb_line_ids
-        recs = []
         flat_parts: list[np.ndarray] = []
         line_parts: list[np.ndarray] = []
         kind_parts: list[np.ndarray] = []
@@ -242,57 +182,33 @@ class Nic:
                 continue
             ring_slot = ring.head
             buffer = ring.advance()
-            entry = self.templates.decomp(buffer.dma_paddr)
+            _paddrs, flats, lines = decomp(buffer.dma_paddr)
             n = frame.n_blocks(line)
             stats.frames += 1
             stats.blocks_written += n
-            path, skb_a, skb_b = driver._burst_prep(frame, buffer, ring_slot, at)
+            path, skb = driver._prep(frame, buffer, ring_slot, at)
             kinds_t, offs_t, span_t, folded_t, buf_ops = template(path, n)
-            flat_parts.append(entry[1][:buf_ops])
-            line_parts.append(entry[2][:buf_ops])
-            for a, b in (skb_a, skb_b):
-                if b > a:
-                    flat_parts.append(skb_flats[a:b])
-                    line_parts.append(skb_lines[a:b])
+            flat_parts.append(flats[:buf_ops])
+            line_parts.append(lines[:buf_ops])
+            if skb is not None:
+                flat_parts.append(skb_flats[skb])
+                line_parts.append(skb_lines[skb])
             kind_parts.append(kinds_t)
             off_parts.append(offs_t)
             bases.append(span_total)
             lens.append(len(offs_t))
             span_total += span_t
             folded += folded_t
-            recs.append((path, n, entry, skb_a, skb_b))
-        if not recs:
+        if not kind_parts:
             return
-        flats = np.concatenate(flat_parts)
-        lines = np.concatenate(line_parts)
-        kinds = np.concatenate(kind_parts)
         offs = np.concatenate(off_parts) + np.repeat(
             np.asarray(bases, dtype=np.int64), lens
         )
-        if not llc.rx_burst(flats, lines, kinds, offs, span_total, folded):
-            for rec in recs:
-                self._burst_replay(rec)
-
-    def _burst_replay(self, rec: tuple) -> None:
-        """Exact scalar-equivalent cache-op sequence for one burst frame
-        whose phase-1 bookkeeping already ran."""
-        path, n, entry, skb_a, skb_b = rec
-        llc = self.machine.llc
-        driver = self.driver
-        paddrs, flats, lines = entry
-        llc.io_write_many(paddrs[:n], decomp=(flats[:n], lines[:n]))
-        if path == driver._PATH_BCAST:
-            base = int(paddrs[0])
-            llc.cpu_access(base)
-            llc.cpu_access(base + self._line)
-            return
-        if path == driver._PATH_COPY:
-            seq = np.concatenate([paddrs[:2], paddrs[:n]])
-            decomp = (
-                np.concatenate([flats[:2], flats[:n]]),
-                np.concatenate([lines[:2], lines[:n]]),
-            )
-            llc.access_many(seq, decomp=decomp)
-        else:
-            llc.access_many(paddrs[:n], decomp=(flats[:n], lines[:n]))
-        driver._skb_replay(skb_a, skb_b)
+        self.machine.llc.rx_burst(
+            np.concatenate(flat_parts),
+            np.concatenate(line_parts),
+            np.concatenate(kind_parts),
+            offs,
+            span_total,
+            folded,
+        )

@@ -120,6 +120,22 @@ class TestIgbDriver:
         nic_machine.nic.deliver(Frame(size=64, protocol="broadcast"))
         assert nic_machine.llc.is_resident(buffer.page_paddr + 64)
 
+    def test_one_block_fragment_prefetches_block1(self, scaled_config):
+        """Below one cache line of copy threshold a 1-block frame takes the
+        fragment path, and the header prefetch still loads block 1."""
+        import dataclasses
+
+        from repro.core.machine import Machine
+
+        scaled_config.ring = dataclasses.replace(scaled_config.ring, copy_threshold=0)
+        machine = Machine(scaled_config)
+        machine.install_nic()
+        buffer = machine.ring.next_buffer()
+        block1 = buffer.dma_paddr + 64
+        machine.nic.deliver(Frame(size=60, protocol="tcp"))
+        assert machine.driver.stats.fragged == 1
+        assert machine.llc.is_resident(block1)
+
     def test_shared_page_forces_replacement(self, scaled_config):
         from repro.core.machine import Machine
 
@@ -230,6 +246,81 @@ class TestHeavyFaultRx:
         assert drv.frames == len(machine.driver.receive_log)
         # Stalled receives are deferred, not lost.
         assert drv.frames + len(machine.events) >= nic.frames
+
+
+class TestBurstGuard:
+    """``SlicedLLC.supports_rx_burst`` is the one list of cache policies
+    the rx burst kernel models: under any other, ``rx_burst`` raises
+    before touching state and the NIC never batches."""
+
+    POLICIES = [
+        "partition",
+        "evict_hook",
+        "ddio-off",
+        "keyed:epoch=50000",
+        "skewed:partitions=2",
+    ]
+
+    @staticmethod
+    def _machine(config, policy):
+        from repro.core.config import DDIOConfig
+        from repro.core.machine import Machine
+        from repro.defense.partitioning import AdaptivePartition, PartitionConfig
+
+        if policy == "ddio-off":
+            config.ddio = DDIOConfig(enabled=False)
+        elif ":" in policy:
+            config.cache_backend = policy
+        machine = Machine(config)
+        machine.install_nic()
+        if policy == "partition":
+            AdaptivePartition(PartitionConfig()).install(machine)
+        elif policy == "evict_hook":
+            machine.llc.evict_hook = lambda line: None
+        return machine
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_unsupported_policy_refuses(self, scaled_config, policy):
+        import numpy as np
+
+        machine = self._machine(scaled_config, policy)
+        for size in (1500, 128, 64):
+            machine.nic.deliver(Frame(size=size, protocol="tcp"))
+        machine.run_events_until(machine.clock.now + 200_000)
+        llc, engine = machine.llc, machine.llc.engine
+        before = (
+            engine.tags.copy(),
+            engine.flags.copy(),
+            engine.stamps.copy(),
+            engine._tick,
+            llc.stats.snapshot(),
+        )
+        _paddrs, flats, lines = machine.driver.templates.decomp(
+            machine.ring.next_buffer().dma_paddr
+        )
+        kinds = np.zeros(4, dtype=np.uint8)
+        offs = np.arange(4, dtype=np.int64)
+        assert not llc.supports_rx_burst()
+        with pytest.raises(RuntimeError):
+            llc.rx_burst(flats[:4], lines[:4], kinds, offs, 4, 0)
+        assert np.array_equal(engine.tags, before[0])
+        assert np.array_equal(engine.flags, before[1])
+        assert np.array_equal(engine.stamps, before[2])
+        assert engine._tick == before[3]
+        assert llc.stats.snapshot() == before[4]
+        assert not machine.nic.can_batch()
+
+    def test_can_batch_is_supported_policy_without_faults(self, scaled_config):
+        from repro.core.machine import Machine
+        from repro.faults.profiles import get_profile
+
+        vanilla = Machine(scaled_config)
+        vanilla.install_nic()
+        assert vanilla.llc.supports_rx_burst() and vanilla.nic.can_batch()
+        scaled_config.faults = get_profile("light")
+        faulty = Machine(scaled_config)
+        faulty.install_nic()
+        assert faulty.llc.supports_rx_burst() and not faulty.nic.can_batch()
 
 
 class TestStatsReduction:

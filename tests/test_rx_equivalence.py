@@ -12,24 +12,30 @@ finish with bit-identical cache state, cache/NIC/driver stats, receive
 logs, probe latency traces, and clock values.
 
 The configuration matrix crosses {DDIO on/off} x {faults off/heavy} x
-{partition off/on}, plus a ring-randomization config; over the full
-matrix more than 10k randomized frames are replayed per side.
+{partition off/on}, plus ring-randomization configs (partial and full)
+and a zero copy threshold, under which even one-block frames take the
+fragment path; over the full matrix more than 10k randomized frames are
+replayed per side.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
-from repro.core.config import DDIOConfig, MachineConfig
+from repro.core.config import DDIOConfig, MachineConfig, RingConfig
 from repro.core.machine import Machine
 from repro.defense.partitioning import AdaptivePartition, PartitionConfig
+from repro.defense.randomization import FullRandomizer, PartialRandomizer
 from repro.faults.profiles import get_profile
 from repro.net.packet import Frame
 from repro.net.traffic import PoissonNoise, TrafficSource
+from repro.nic.legacy import install_legacy_nic
 
 SIZES = [60, 64, 120, 128, 192, 256, 300, 512, 700, 1024, 1200, 1400, 1514]
+COPY = RingConfig().copy_threshold
 
 
 class MixedStream(TrafficSource):
@@ -55,21 +61,25 @@ def build_machine(
     ddio: bool,
     faults: str,
     partition: bool,
-    randomize: bool,
+    randomize: bool | str,
+    copy_threshold: int = COPY,
 ) -> Machine:
     cfg = MachineConfig().scaled_down()
     cfg.ddio = DDIOConfig(
         enabled=ddio, write_allocate_ways=cfg.ddio.write_allocate_ways
     )
+    cfg.ring = dataclasses.replace(cfg.ring, copy_threshold=copy_threshold)
     cfg.faults = get_profile(faults)
     m = Machine(cfg)
-    m.install_nic(log_receives=True, legacy=legacy)
-    m.allow_bursts = not legacy
+    if legacy:
+        install_legacy_nic(m, log_receives=True)
+    else:
+        m.install_nic(log_receives=True)
     if partition:
         AdaptivePartition(PartitionConfig(period=100_000)).install(m)
-    if randomize:
-        from repro.defense.randomization import PartialRandomizer
-
+    if randomize == "full":
+        m.driver.randomizer = FullRandomizer()
+    elif randomize:
         m.driver.randomizer = PartialRandomizer(interval=16, rng=random.Random(5))
     return m
 
@@ -117,38 +127,47 @@ def full_state(m: Machine):
     }
 
 
-# (ddio, faults, partition, randomize, n_frames); >= 10k frames in total.
+# (ddio, faults, partition, randomize, copy_threshold, n_frames), where
+# randomize is False, True (partial: permute the ring every 16 packets) or
+# "full" (a fresh page per packet); >= 10k frames in total.
 MATRIX = [
-    (True, "off", False, False, 2600),
-    (True, "off", True, False, 1200),
-    (True, "heavy", False, False, 1200),
-    (True, "heavy", True, False, 1000),
-    (False, "off", False, False, 1200),
-    (False, "off", True, False, 1000),
-    (False, "heavy", False, False, 1000),
-    (False, "heavy", True, False, 1000),
-    (True, "off", False, True, 1200),
+    (True, "off", False, False, COPY, 2600),
+    (True, "off", True, False, COPY, 1200),
+    (True, "heavy", False, False, COPY, 1200),
+    (True, "heavy", True, False, COPY, 1000),
+    (False, "off", False, False, COPY, 1200),
+    (False, "off", True, False, COPY, 1000),
+    (False, "heavy", False, False, COPY, 1000),
+    (False, "heavy", True, False, COPY, 1000),
+    (True, "off", False, True, COPY, 1200),
+    (False, "heavy", False, "full", COPY, 1000),
+    (True, "off", False, False, 0, 1000),
 ]
 
 assert sum(case[-1] for case in MATRIX) >= 10_000
 
 
 @pytest.mark.parametrize(
-    "ddio,faults,partition,randomize,n_frames",
+    "ddio,faults,partition,randomize,copy_threshold,n_frames",
     MATRIX,
     ids=[
-        f"ddio={d}-faults={f}-part={p}-rand={r}" for d, f, p, r, _ in MATRIX
+        f"ddio={d}-faults={f}-part={p}-rand={r}" + (f"-copy={c}" if c != COPY else "")
+        for d, f, p, r, c, _ in MATRIX
     ],
 )
-def test_rx_datapath_equivalence(ddio, faults, partition, randomize, n_frames):
+def test_rx_datapath_equivalence(
+    ddio, faults, partition, randomize, copy_threshold, n_frames
+):
     seed = (
         1000 * ddio
         + 100 * (faults == "heavy")
         + 10 * partition
-        + randomize
+        + (2 if randomize == "full" else int(randomize))
+        + 5 * (copy_threshold == 0)
     )
-    legacy = build_machine(True, ddio, faults, partition, randomize)
-    batched = build_machine(False, ddio, faults, partition, randomize)
+    config = (ddio, faults, partition, randomize, copy_threshold)
+    legacy = build_machine(True, *config)
+    batched = build_machine(False, *config)
     trace_a = run_workload(legacy, seed, n_frames)
     trace_b = run_workload(batched, seed, n_frames)
     assert trace_a == trace_b, "probe latency traces diverged"
