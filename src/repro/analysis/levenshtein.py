@@ -15,8 +15,8 @@ throughout, so results are bit-identical to the frozen scalar DP in
 :mod:`repro.analysis.legacy` — ``tests/test_analysis_equivalence.py`` pins
 that equivalence on randomized inputs.  ``cyclic_levenshtein`` and
 ``best_rotation`` batch *all* candidate rotations through one DP whose rows
-carry a rotation axis.  Unhashable elements (no integer encoding) fall back
-to the scalar reference.
+carry a rotation axis.  Elements must be hashable (callers pass ring
+positions and symbols).
 """
 
 from __future__ import annotations
@@ -25,29 +25,20 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis import legacy as _legacy
 
-#: Below this DP area the Python loop beats NumPy's per-row overhead.
-_SCALAR_AREA_CUTOFF = 256
-
-
-def _encode(a: Sequence, b: Sequence) -> tuple[np.ndarray, np.ndarray] | None:
+def _encode(a: Sequence, b: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """Map elements of both sequences to shared integer codes.
 
-    Equality of codes must match ``==`` on the originals, which holds for
-    any consistently-hashable elements; returns None when an element is
-    unhashable (caller falls back to the scalar DP).
+    Equality of codes matches ``==`` on the originals, which holds for any
+    consistently-hashable elements.
     """
     table: dict = {}
-    try:
-        ca = np.fromiter(
-            (table.setdefault(x, len(table)) for x in a), np.int64, count=len(a)
-        )
-        cb = np.fromiter(
-            (table.setdefault(x, len(table)) for x in b), np.int64, count=len(b)
-        )
-    except TypeError:
-        return None
+    ca = np.fromiter(
+        (table.setdefault(x, len(table)) for x in a), np.int64, count=len(a)
+    )
+    cb = np.fromiter(
+        (table.setdefault(x, len(table)) for x in b), np.int64, count=len(b)
+    )
     return ca, cb
 
 
@@ -72,31 +63,22 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     """Minimum number of single-element insertions, deletions and
     substitutions that turn ``a`` into ``b``.
 
-    O(len(a) * len(b)) time, O(min) space; the inner DP row is a NumPy
-    kernel for large inputs and the classic scalar loop below the
-    crossover point (identical results either way).
+    O(len(a) * len(b)) time, O(min) space; each DP row is one NumPy
+    kernel step.
     """
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return len(a)
-    if len(a) * len(b) <= _SCALAR_AREA_CUTOFF:
-        return _legacy.levenshtein(a, b)
-    encoded = _encode(a, b)
-    if encoded is None:
-        return _legacy.levenshtein(a, b)
-    return _row_distance(*encoded)
+    return _row_distance(*_encode(a, b))
 
 
 def _rotation_distances(
     recovered: Sequence, doubled: list, starts: Sequence[int], n: int
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Edit distance of ``recovered`` against every ``doubled[s : s + n]``,
     all rotations sharing one DP whose rows have a rotation axis."""
-    encoded = _encode(recovered, doubled)
-    if encoded is None:
-        return None
-    rec, dbl = encoded
+    rec, dbl = _encode(recovered, doubled)
     starts_arr = np.asarray(list(starts), dtype=np.int64)
     rots = dbl[starts_arr[:, None] + np.arange(n, dtype=np.int64)[None, :]]
     nrot = len(starts_arr)
@@ -141,10 +123,7 @@ def cyclic_levenshtein(recovered: Sequence, truth: Sequence) -> int:
     anchors = _anchored_starts(recovered, doubled, n)
     if not recovered:
         return n
-    distances = _rotation_distances(recovered, doubled, anchors, n)
-    if distances is None:
-        return _legacy.cyclic_levenshtein(recovered, truth)
-    return int(distances.min())
+    return int(_rotation_distances(recovered, doubled, anchors, n).min())
 
 
 def best_rotation(recovered: Sequence, truth: Sequence) -> list:
@@ -158,11 +137,8 @@ def best_rotation(recovered: Sequence, truth: Sequence) -> list:
         return []
     doubled = list(truth) + list(truth)
     n = len(truth)
-    anchors = [i for i in range(n) if recovered and doubled[i] == recovered[0]]
-    starts = anchors or list(range(n))
+    starts = _anchored_starts(recovered, doubled, n)
     distances = _rotation_distances(recovered, doubled, starts, n)
-    if distances is None:
-        return _legacy.best_rotation(recovered, truth)
     best_start = starts[int(np.argmin(distances))]
     return doubled[best_start : best_start + n]
 
@@ -206,10 +182,7 @@ def edit_breakdown(sent: Sequence, received: Sequence) -> tuple[int, int, int]:
     same table values as the frozen reference, so the attribution is
     bit-identical.
     """
-    encoded = _encode(sent, received)
-    if encoded is None:
-        return _legacy.edit_breakdown(sent, received)
-    ca, cb = encoded
+    ca, cb = _encode(sent, received)
     dp = _full_dp(ca, cb)
     substitutions = insertions = deletions = 0
     i, j = len(ca), len(cb)
@@ -238,10 +211,7 @@ def longest_mismatch_run(recovered: Sequence, truth: Sequence) -> int:
     are counted over the alignment, with insertions/deletions counting as
     mismatching positions.
     """
-    encoded = _encode(recovered, truth)
-    if encoded is None:
-        return _legacy.longest_mismatch_run(recovered, truth)
-    ca, cb = encoded
+    ca, cb = _encode(recovered, truth)
     dp = _full_dp(ca, cb)
     flags: list[bool] = []  # True = mismatch at this alignment column
     i, j = len(ca), len(cb)

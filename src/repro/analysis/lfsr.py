@@ -23,9 +23,6 @@ import numpy as np
 #: Taps for maximal-length sequences, by register width (x^w + x^t + 1).
 _MAXIMAL_TAPS = {4: 3, 7: 6, 15: 14, 16: 15}
 
-#: Below this many bits the per-call scalar loop beats array setup.
-_SCALAR_BITS_CUTOFF = 64
-
 
 class LFSR:
     """Fibonacci LFSR with a two-tap maximal polynomial.
@@ -62,15 +59,13 @@ class LFSR:
     def bits(self, count: int) -> list[int]:
         """The next ``count`` output bits.
 
-        Large requests run block-vectorised on the recurrence
+        Requests run block-vectorised on the recurrence
         ``b[k] = b[k-width] ^ b[k-tap]``: the register state seeds the
         history (state bit ``p`` is output ``b[-1-p]``), each block of
         ``tap`` bits is one slice XOR, and the register is re-packed from
         the last ``width`` outputs afterwards — bit- and state-identical
         to stepping :meth:`next_bit` ``count`` times.
         """
-        if count < _SCALAR_BITS_CUTOFF:
-            return [self.next_bit() for _ in range(count)]
         w, t = self.width, self._tap
         hist = np.empty(w + count, dtype=np.uint8)
         for p in range(w):

@@ -35,7 +35,7 @@ from repro.attack.timing import LatencyThreshold
 from repro.telemetry.quality import (
     quality_registry,
     record_evset_report,
-    record_probe_latencies,
+    record_probe_margins,
 )
 
 
@@ -129,7 +129,10 @@ class EvictionSet:
         """Timed zig-zag traversal; returns the number of misses seen.
 
         One batched machine call covers the whole traversal — the classic
-        per-line loop collapsed into :meth:`Machine.cpu_access_many`.
+        per-line loop collapsed into :meth:`Machine.cpu_access_many`.  The
+        timing builder's :meth:`EvictionSetBuilder.conflicts` probes one
+        set this way, and it is the per-set reference a multi-set
+        :class:`~repro.attack.primeprobe.SetSweep` is pinned against.
         """
         paddrs, flats, lines = self.probe_order()
         lats = self.process.machine.cpu_access_many(
@@ -145,27 +148,8 @@ class EvictionSet:
                 tele.metrics.counter("probe.misses").inc(misses)
             registry = quality_registry(tele)
             if registry is not None:
-                record_probe_latencies(registry, lats, self.threshold.threshold)
+                record_probe_margins(registry, lats, self.threshold.threshold)
         return misses
-
-    def probe_fast(self) -> int:
-        """Probe without per-access timer overhead (one fence per set).
-
-        Models an attacker timing the whole traversal instead of each load;
-        returns misses inferred from aggregate latency.
-        """
-        machine = self.process.machine
-        timing = machine.llc.timing
-        paddrs, flats, lines = self.probe_order()
-        lats = machine.cpu_access_many(paddrs, decomp=(flats, lines))
-        self.flip()
-        total = int(lats.sum())
-        machine.clock.advance(timing.measure_overhead)
-        baseline = timing.llc_hit_latency * len(self)
-        return max(
-            0,
-            round((total - baseline) / (timing.llc_miss_latency - timing.llc_hit_latency)),
-        )
 
 
 @dataclass

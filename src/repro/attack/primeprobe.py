@@ -8,11 +8,14 @@ long enough that one packet's activity lands in one sample, and short
 enough not to lose the temporal order of consecutive packets (Table I's
 parameters: 8000 probes/s against 0.2 M packets/s).
 
-Since the engine refactor a timed probe sweep is a *single* batched
-machine call over the concatenation of every monitored set's traversal:
-:meth:`Machine.cpu_access_many` preserves per-access event and clock
-semantics, so the combined sweep is cycle-identical to the historical
-per-line Python loop while running an order of magnitude faster.
+The timed probe is described once, in :class:`SetSweep`: a *single*
+batched machine call over the concatenation of every swept set's
+traversal.  :meth:`Machine.cpu_access_many` preserves per-access event and
+clock semantics, so the combined sweep is cycle-identical to the
+historical per-line Python loop while running an order of magnitude
+faster.  :class:`ProbeMonitor` is only the sampling loop around one sweep,
+and every probe path records the same quality margin: each probed set's
+tightest ``|latency - threshold|``.
 
 The trace itself is **columnar**: :class:`SampleTrace` holds one packed
 ``(n_samples, n_sets)`` int64 matrix plus an int64 times vector, filled
@@ -31,7 +34,7 @@ from repro.attack.evictionset import EvictionSet
 from repro.telemetry.quality import (
     ProbeSweepAccumulator,
     quality_registry,
-    record_probe_latencies,
+    record_probe_margins,
 )
 
 
@@ -96,37 +99,19 @@ class SampleTrace:
         return self._fractions
 
 
-def _probe_order_arrays(
-    sets: list[EvictionSet], cache: dict
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenated next-probe ``(paddrs, flats, lines)`` over ``sets``.
-
-    Keyed in ``cache`` by each set's flip parity: a sweep flips every set
-    together, so steady-state probing ping-pongs between two cached
-    signatures and never re-concatenates.
-    """
-    key = bytes(es.version & 1 for es in sets)
-    cached = cache.get(key)
-    if cached is None:
-        parts = [es.probe_order() for es in sets]
-        cached = tuple(np.concatenate(column) for column in zip(*parts))
-        if len(cache) >= 4:
-            cache.clear()
-        cache[key] = cached
-    return cached
-
-
 class SetSweep:
-    """One batched timed probe over a fixed list of eviction sets.
+    """The timed probe: one batched zig-zag sweep over fixed eviction sets.
 
-    The concatenation of every set's zig-zag traversal goes out as a
-    single :meth:`Machine.cpu_access_many` call — access order, event
-    timing and the clock are identical to calling ``es.probe()`` per set
-    — and the telemetry :meth:`EvictionSet.probe` would have recorded
-    per set is recorded once for the batch (histograms and counters are
+    Every multi-set probe is this sweep: :class:`ProbeMonitor`'s (sequencer,
+    discovery), the covert receiver's and the chaser's clock and size
+    polls.  The concatenation of every set's traversal goes out as a single
+    :meth:`Machine.cpu_access_many` call — access order, event timing and
+    the clock are identical to calling ``es.probe()`` per set — and the
+    telemetry :meth:`EvictionSet.probe` would have recorded per set is
+    recorded once for the batch (histograms and counters are
     order-independent sums of the same integer latencies, so registry
-    state is bit-identical).  Used by the covert receiver and the packet
-    chaser, whose probe groups are small and fixed per decision.
+    state is bit-identical).  Thresholds are read from the sets at
+    construction; after a recalibration the caller builds a new sweep.
     """
 
     def __init__(self, process, sets: list[EvictionSet]) -> None:
@@ -134,36 +119,49 @@ class SetSweep:
             raise ValueError("sweep over an empty set list")
         self.process = process
         self.sets = list(sets)
-        self._cache: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._offsets: np.ndarray | None = None
-        self._thresholds: np.ndarray | None = None
+        lens = np.fromiter(
+            (len(es) for es in self.sets), np.int64, count=len(self.sets)
+        )
+        #: Start of each set's traversal within one sweep.
+        self.offsets = np.concatenate(([0], np.cumsum(lens)[:-1]))
+        #: Hit/miss threshold of every access in sweep order.
+        self.thresholds = np.repeat(
+            np.fromiter(
+                (es.threshold.threshold for es in self.sets),
+                np.float64,
+                count=len(self.sets),
+            ),
+            lens,
+        )
         #: Accesses per probe: every set's lines, once each.
-        self.n_accesses = sum(len(es) for es in self.sets)
+        self.n_accesses = int(lens.sum())
+        #: Concatenated ``(paddrs, flats, lines)`` per orientation
+        #: signature (each set's flip parity).  A sweep flips every set
+        #: together, so steady-state probing ping-pongs between two cached
+        #: signatures and never re-concatenates.
+        self._orders: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        cached = _probe_order_arrays(self.sets, self._cache)
-        if self._offsets is None:
-            lens = np.fromiter(
-                (len(es) for es in self.sets), np.int64, count=len(self.sets)
-            )
-            self._offsets = np.concatenate(([0], np.cumsum(lens)[:-1]))
-            self._thresholds = np.repeat(
-                np.fromiter(
-                    (es.threshold.threshold for es in self.sets),
-                    np.float64,
-                    count=len(self.sets),
-                ),
-                lens,
-            )
+        """Concatenated next-probe ``(paddrs, flats, lines)``, cached."""
+        key = bytes(es.version & 1 for es in self.sets)
+        cached = self._orders.get(key)
+        if cached is None:
+            parts = [es.probe_order() for es in self.sets]
+            cached = tuple(np.concatenate(column) for column in zip(*parts))
+            if len(self._orders) >= 4:
+                self._orders.clear()
+            self._orders[key] = cached
         return cached
 
-    def probe(self) -> np.ndarray:
-        """Timed zig-zag sweep; returns per-set miss counts (int64)."""
+    def measure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One timed sweep: per-set miss counts (int64), every access's
+        latency and the miss mask, all in sweep order.  Records the
+        ``probe.*`` metrics but leaves the quality margin to the caller."""
         machine = self.process.machine
         combined, flats, lines = self._arrays()
         lats = machine.cpu_access_many(combined, timed=True, decomp=(flats, lines))
-        miss_mask = lats > self._thresholds
-        counts = np.add.reduceat(miss_mask.astype(np.int64), self._offsets)
+        miss_mask = lats > self.thresholds
+        counts = np.add.reduceat(miss_mask.astype(np.int64), self.offsets)
         for es in self.sets:
             es.flip()
         tele = machine.telemetry
@@ -173,9 +171,14 @@ class SetSweep:
             total_misses = int(miss_mask.sum())
             if total_misses:
                 tele.metrics.counter("probe.misses").inc(total_misses)
-            registry = quality_registry(tele)
-            if registry is not None:
-                record_probe_latencies(registry, lats, self._thresholds)
+        return counts, lats, miss_mask
+
+    def probe(self) -> np.ndarray:
+        """Timed zig-zag sweep; returns per-set miss counts (int64)."""
+        counts, lats, _ = self.measure()
+        registry = quality_registry(self.process.machine.telemetry)
+        if registry is not None:
+            record_probe_margins(registry, lats, self.thresholds, self.offsets)
         return counts
 
     def quiet_cycles(self) -> int:
@@ -221,11 +224,14 @@ class SetSweep:
             tele.metrics.counter("probe.accesses").inc(self.n_accesses * k)
             registry = quality_registry(tele)
             if registry is not None:
-                record_probe_latencies(registry, lats, self._thresholds, repeat=k)
+                record_probe_margins(
+                    registry, lats, self.thresholds, self.offsets, repeat=k
+                )
 
 
 class ProbeMonitor:
-    """Prime+probe driver over a fixed monitor list."""
+    """The PRIME - IDLE - PROBE loop around one :class:`SetSweep`, with
+    batched quality recording and an optional in-flight supervisor."""
 
     def __init__(
         self, process, eviction_sets: list[EvictionSet], supervisor=None
@@ -240,53 +246,29 @@ class ProbeMonitor:
         self.supervisor = supervisor
         if supervisor is not None:
             supervisor.track(*self.sets)
-        #: Concatenated traversal arrays per orientation signature.  A
-        #: zig-zag sweep alternates between two signatures, so this holds
-        #: two entries in steady state; interleaved per-set probes just
-        #: miss the cache and rebuild.
-        self._sweep_cache: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._lens: np.ndarray | None = None
-        self._offsets: np.ndarray | None = None
-        self._thresholds: np.ndarray | None = None
+        self._sweep = SetSweep(process, self.sets)
         #: Lazily-created quality-hook batcher; flushed when probing stops.
         self._quality_acc: ProbeSweepAccumulator | None = None
-
-    def _sweep_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(paddrs, flats, lines) of the full probe-order sweep, cached."""
-        cached = _probe_order_arrays(self.sets, self._sweep_cache)
-        if self._lens is None:
-            self._lens = np.fromiter(
-                (len(es) for es in self.sets), np.int64, count=len(self.sets)
-            )
-            self._offsets = np.concatenate(([0], np.cumsum(self._lens)[:-1]))
-            self._thresholds = np.repeat(
-                np.fromiter(
-                    (es.threshold.threshold for es in self.sets),
-                    np.float64,
-                    count=len(self.sets),
-                ),
-                self._lens,
-            )
-        return cached
 
     def __len__(self) -> int:
         return len(self.sets)
 
-    def refresh_thresholds(self) -> None:
-        """Drop the cached per-access threshold arrays (after an online
-        recalibration changed ``es.threshold`` under us)."""
-        self._lens = None
-        self._offsets = None
-        self._thresholds = None
+    def _flush_quality(self) -> None:
+        if self._quality_acc is not None:
+            self._quality_acc.flush()
 
     def _apply_recovery(self, event) -> None:
-        """Swap in healed sets / refreshed thresholds, then re-prime."""
+        """Swap in healed sets or refreshed thresholds, then re-prime.
+
+        Margins so far are flushed against the thresholds they were
+        measured with; the sweep and the batcher then start afresh."""
         if event.kind == "heal" and event.payload:
             self.sets = list(event.payload)
-            self._sweep_cache.clear()
             self.supervisor.untrack_all()
             self.supervisor.track(*self.sets)
-        self.refresh_thresholds()
+        self._flush_quality()
+        self._sweep = SetSweep(self.process, self.sets)
+        self._quality_acc = None
         self.prime()
 
     def prime(self) -> None:
@@ -307,92 +289,27 @@ class ProbeMonitor:
         for es in self.sets:
             es.prime()
 
-    def _probe_sweep(self) -> np.ndarray:
-        """One timed sweep over every monitored set as a single batched call.
-
-        Accesses are issued in exactly the order the per-set
-        ``es.probe()`` loop would issue them (set 0's reversed traversal,
-        then set 1's, ...), so events, the clock and every latency are
-        unchanged — only the Python-loop overhead is gone.  Returns the
-        per-set miss counts as an int64 row.
-        """
-        machine = self.process.machine
-        combined, flats, lines = self._sweep_arrays()
-        lats = machine.cpu_access_many(combined, timed=True, decomp=(flats, lines))
-        miss_mask = lats > self._thresholds
-        row = np.add.reduceat(miss_mask.astype(np.int64), self._offsets)
-        for es in self.sets:
-            es.flip()
-        tele = machine.telemetry
-        if tele is not None and tele.metrics.enabled:
-            tele.metrics.histogram("probe.latency_cycles").observe_many(lats)
-            tele.metrics.counter("probe.accesses").inc(len(combined))
-            total_misses = int(miss_mask.sum())
-            if total_misses:
-                tele.metrics.counter("probe.misses").inc(total_misses)
-            registry = quality_registry(tele)
-            if registry is not None:
-                acc = self._quality_acc
-                if acc is None or acc.registry is not registry:
-                    acc = self._quality_acc = ProbeSweepAccumulator(
-                        registry, self._thresholds, self._offsets
-                    )
-                acc.add(lats, miss_mask, total_misses)
+    def _probe_row(self) -> np.ndarray:
+        """One sweep's per-set miss counts; its quality goes to the batcher."""
+        row, lats, miss_mask = self._sweep.measure()
+        registry = quality_registry(self.process.machine.telemetry)
+        if registry is not None:
+            acc = self._quality_acc
+            if acc is None or acc.registry is not registry:
+                acc = self._quality_acc = ProbeSweepAccumulator(
+                    registry, self._sweep.thresholds, self._sweep.offsets
+                )
+            acc.add(lats, miss_mask, np.count_nonzero(miss_mask))
         return row
-
-    def _fast_sweep(self) -> np.ndarray:
-        """One aggregate-latency sweep, batched across every set.
-
-        The sequential loop advances ``measure_overhead`` after each set's
-        traversal; batching defers those advances to the end of the sweep.
-        That is unobservable exactly when no event fires inside the
-        sweep's worst-case window (and no partition reads the mid-sweep
-        clock), so outside that window this falls back to the loop.
-        """
-        machine = self.process.machine
-        llc = machine.llc
-        timing = llc.timing
-        combined, flats, lines = self._sweep_arrays()
-        n_sets = len(self.sets)
-        nxt = machine.events.peek_time()
-        worst = (
-            len(combined) * timing.llc_miss_latency
-            + n_sets * timing.measure_overhead
-        )
-        if llc.partition is not None or (
-            nxt is not None and nxt - machine.clock.now <= worst
-        ):
-            return np.fromiter(
-                (es.probe_fast() for es in self.sets), np.int64, count=n_sets
-            )
-        lats = machine.cpu_access_many(combined, decomp=(flats, lines))
-        for es in self.sets:
-            es.flip()
-        machine.clock.advance(n_sets * timing.measure_overhead)
-        totals = np.add.reduceat(lats, self._offsets)
-        baselines = self._lens * timing.llc_hit_latency
-        est = np.round(
-            (totals - baselines) / (timing.llc_miss_latency - timing.llc_hit_latency)
-        ).astype(np.int64)
-        return np.maximum(est, 0)
 
     def probe_once(self) -> list[int]:
         """One sweep over all monitored sets; returns per-set miss counts."""
-        row = self._probe_sweep()
-        if self._quality_acc is not None:
-            self._quality_acc.flush()
+        row = self._probe_row()
+        self._flush_quality()
         return [int(v) for v in row]
 
-    def sample(
-        self,
-        n_samples: int,
-        wait_cycles: int = 0,
-        fast_probe: bool = False,
-    ) -> SampleTrace:
+    def sample(self, n_samples: int, wait_cycles: int = 0) -> SampleTrace:
         """Run the PRIME - IDLE(wait_cycles) - PROBE loop ``n_samples`` times.
-
-        ``fast_probe`` uses aggregate-latency probing (one timer read per
-        set instead of per access), roughly tripling the probe rate.
 
         The trace matrix is preallocated and each sweep's miss-count row
         is written in place — no per-sweep Python lists anywhere on the
@@ -416,17 +333,12 @@ class ProbeMonitor:
                     cat="attack",
                     args={"sample": i, "sim_now": machine.clock.now},
                 ):
-                    if fast_probe:
-                        row = self._fast_sweep()
-                    else:
-                        row = self._probe_sweep()
+                    row = self._probe_row()
                 tele.tracer.counter(
                     "probe.misses", {"misses": int(row.sum())}, cat="attack"
                 )
-            elif fast_probe:
-                row = self._fast_sweep()
             else:
-                row = self._probe_sweep()
+                row = self._probe_row()
             samples[i] = row
             if self.supervisor is not None:
                 event = self.supervisor.observe(int((row > 0).sum()), row.size)
@@ -434,27 +346,9 @@ class ProbeMonitor:
                     self._apply_recovery(event)
         if tele is not None and tele.metrics.enabled:
             tele.metrics.counter("probe.sweeps").inc(n_samples)
-        if self._quality_acc is not None:
-            self._quality_acc.flush()
+        self._flush_quality()
         return SampleTrace(
             samples=samples,
             times=times,
             set_labels=[es.label or str(es.set_index) for es in self.sets],
         )
-
-    def probe_duration_estimate(self, fast_probe: bool = False) -> int:
-        """Cycles one full probe sweep takes, assuming all hits.
-
-        Useful for choosing ``wait_cycles`` to hit a target probe rate.
-        A ``fast_probe`` sweep pays the timer overhead once per *set*
-        (one fence around each traversal) rather than once per access.
-        """
-        timing = self.process.machine.llc.timing
-        n_accesses = sum(len(es) for es in self.sets)
-        if fast_probe:
-            return (
-                n_accesses * timing.llc_hit_latency
-                + len(self.sets) * timing.measure_overhead
-            )
-        per_access = timing.llc_hit_latency + timing.measure_overhead
-        return n_accesses * per_access

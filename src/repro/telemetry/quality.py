@@ -8,8 +8,9 @@ named metrics on the ambient :class:`~repro.telemetry.metrics.MetricsRegistry`:
 ====================================  =======================================
 ``quality.calibration.*``             SNR / threshold margin / drift between
                                       successive calibrations
-``quality.probe.*``                   tightest per-set latency-vs-threshold
-                                      margin and hit/miss separation
+``quality.probe.*``                   tightest latency-vs-threshold margin
+                                      per probed set (every probe path) and
+                                      per-sweep hit/miss separation
 ``quality.evset.*``                   eviction-set construction health
                                       (retries, failed reductions, cluster
                                       confidence)
@@ -266,8 +267,9 @@ def _sweep_snr(lats: np.ndarray, miss_mask: np.ndarray, n_miss: int) -> float:
 class ProbeSweepAccumulator:
     """Batches ``quality.probe`` observations across probe sweeps.
 
-    Per (sweep, monitored set) the recorded margin is the *tightest*
-    per-line ``|latency - threshold|`` in cycles — the decision closest to
+    Per (sweep, monitored set) the recorded margin is the one every probe
+    path records (:func:`record_probe_margins`): the *tightest* per-line
+    ``|latency - threshold|`` in cycles — the decision closest to
     flipping, i.e. how near that set's hit/miss classification came to the
     threshold.  Fixed-bucket histograms are order-independent, so these
     margins are computed and observed in one vectorized pass per
@@ -278,8 +280,10 @@ class ProbeSweepAccumulator:
     still records per mixed-class sweep (that per-sweep separation *is*
     the quantity being measured), which is rare in quiet probe windows.
 
-    The owner must call :meth:`flush` when its probing loop ends —
-    ``ProbeMonitor`` does so at the end of ``sample()``/``probe_once()``.
+    The thresholds and offsets are fixed at construction, so the owner
+    must call :meth:`flush` when its probing loop ends or its thresholds
+    change — ``ProbeMonitor`` does so at the end of
+    ``sample()``/``probe_once()`` and before a recovery rebuilds its sweep.
     """
 
     __slots__ = ("registry", "flush_every", "_pending", "_thresholds", "_offsets")
@@ -313,31 +317,28 @@ class ProbeSweepAccumulator:
             return
         k = len(self._pending)
         block = self._pending[0] if k == 1 else np.concatenate(self._pending)
-        margins = block.reshape(k, -1) - self._thresholds
-        np.abs(margins, out=margins)
-        per_set = np.minimum.reduceat(margins, self._offsets, axis=1)
-        self.registry.histogram(
-            "quality.probe.margin_cycles", MARGIN_CYCLES_BUCKETS
-        ).observe_many(per_set.ravel())
+        record_probe_margins(
+            self.registry, block.reshape(k, -1), self._thresholds, self._offsets
+        )
         self._pending.clear()
 
 
-def record_probe_latencies(
-    registry: MetricsRegistry, lats, threshold, repeat: int = 1
+def record_probe_margins(
+    registry: MetricsRegistry, lats, thresholds, offsets=(0,), repeat: int = 1
 ) -> None:
-    """Margin-only variant for single probes and batched set sweeps.
+    """Every probe path's margin rule: one observation per probed set, its
+    tightest ``|latency - threshold|``.
 
-    ``threshold`` is a scalar (one set's probe) or a per-access float
-    vector aligned with ``lats`` (a :class:`~repro.attack.primeprobe.SetSweep`
-    over sets with differing thresholds); the recorded margins are
-    identical either way.  ``repeat`` records ``repeat`` identical probes.
+    ``lats`` is one sweep, or one per row; ``thresholds`` a scalar or
+    per-access vector; ``offsets`` each set's start in a sweep (default:
+    one set).  ``repeat`` records that many identical sweeps.
     """
-    margins = np.abs(
-        np.asarray(lats, dtype=np.float64) - np.asarray(threshold, dtype=np.float64)
-    )
+    margins = lats - thresholds
+    np.abs(margins, out=margins)
+    per_set = np.minimum.reduceat(margins, offsets, axis=-1)
     registry.histogram(
         "quality.probe.margin_cycles", MARGIN_CYCLES_BUCKETS
-    ).observe_many(margins, repeat=repeat)
+    ).observe_many(per_set.ravel(), repeat=repeat)
 
 
 def record_evset_report(registry: MetricsRegistry, report) -> None:

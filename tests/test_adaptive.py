@@ -414,6 +414,46 @@ class TestChaseHooks:
         assert sup.stats.sequence_sync_losses == 1
 
 
+class TestProbeMonitorRecovery:
+    def test_recalibration_renews_quality_margins(self):
+        """After an in-flight recalibration, margins are measured against
+        the new threshold; the sweeps before it keep the old one."""
+        from repro.attack.evictionset import OracleEvictionSetBuilder
+        from repro.attack.primeprobe import ProbeMonitor
+        from repro.attack.timing import LatencyThreshold
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry.create(trace=False, metrics=True)
+        machine = Machine(MachineConfig().scaled_down(), telemetry=telemetry)
+        spy = machine.new_process("spy")
+        hit = calibrate_threshold(spy).hit_mean
+        # A threshold below the hit latency: every access reads as a miss,
+        # so the supervisor sees saturation and recalibrates.
+        stale = LatencyThreshold(hit_mean=hit, miss_mean=hit, threshold=hit - 20)
+        builder = OracleEvictionSetBuilder(spy, stale, huge_pages=4)
+        sets = builder.build_page_aligned_groups()[:4]
+        supervisor = AdaptiveSupervisor(
+            spy, config=AdaptiveConfig(detect_patience=2)
+        )
+        monitor = ProbeMonitor(spy, sets, supervisor=supervisor)
+
+        def margins():
+            hist = telemetry.metrics.snapshot()["histograms"]
+            return hist["quality.probe.margin_cycles"]
+
+        monitor.sample(6)
+        assert supervisor.stats.recalibrations == 1
+        fresh = abs(hit - supervisor.threshold.threshold)
+        assert fresh != 20
+        # Two saturated sweeps against the stale threshold, four after.
+        assert margins()["sum"] == 2 * 4 * 20 + 4 * 4 * fresh
+        before = margins()
+        monitor.probe_once()
+        after = margins()
+        assert after["count"] - before["count"] == 4
+        assert after["sum"] - before["sum"] == 4 * fresh
+
+
 class TestAdaptiveStats:
     def test_total_and_dict_cover_all_fields(self):
         stats = AdaptiveStats(recalibrations=2, heals=1)

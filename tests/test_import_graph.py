@@ -20,10 +20,8 @@ FROZEN = {
     "repro.attack.legacy_analysis",
 }
 
-#: (importer, frozen module) pairs allowed besides ``repro.bench``.
-#: ``analysis.levenshtein`` still runs small inputs through the frozen
-#: scalar DP; ROADMAP item 3 gives it its own small-input path.
-ALLOWED = {("repro.analysis.levenshtein", "repro.analysis.legacy")}
+#: (importer, frozen module) pairs allowed besides ``repro.bench``: none.
+ALLOWED: set[tuple[str, str]] = set()
 
 PACKAGE = Path(repro.__file__).resolve().parent
 

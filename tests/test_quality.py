@@ -250,6 +250,85 @@ class TestHookSites:
         )
 
 
+N_PROBES = 10
+N_SETS = 4
+
+
+def _margins(snapshot: dict) -> dict:
+    return snapshot["histograms"].get("quality.probe.margin_cycles", {"count": 0})
+
+
+def _probe_rig(traffic: bool = True):
+    """A metered machine, optionally under broadcast traffic, and
+    ``N_SETS`` eviction sets."""
+    from repro.attack.evictionset import OracleEvictionSetBuilder
+    from repro.attack.timing import calibrate_threshold
+    from repro.core.machine import Machine
+    from repro.net.traffic import ConstantStream
+
+    telemetry = Telemetry.create(trace=False, metrics=True)
+    machine = Machine(MachineConfig().scaled_down(), telemetry=telemetry)
+    machine.install_nic()
+    spy = machine.new_process("spy")
+    builder = OracleEvictionSetBuilder(spy, calibrate_threshold(spy), huge_pages=4)
+    sets = builder.build_page_aligned_groups()[:N_SETS]
+    if traffic:
+        sender = ConstantStream(size=256, rate_pps=20_000, protocol="broadcast")
+        sender.attach(machine, machine.nic)
+    return machine, spy, sets
+
+
+def _probe_through(path: str) -> dict:
+    """Metrics after ``N_PROBES`` probes of ``N_SETS`` sets down one path."""
+    from repro.attack.primeprobe import ProbeMonitor, SetSweep
+
+    machine, spy, sets = _probe_rig()
+    wait = 120_000
+    if path == "monitor":
+        ProbeMonitor(spy, sets).sample(N_PROBES, wait_cycles=wait)
+    else:
+        for es in sets:
+            es.prime()
+        sweep = SetSweep(spy, sets)
+        for _ in range(N_PROBES):
+            machine.idle(wait)
+            if path == "sweep":
+                sweep.probe()
+            else:
+                for es in sets:
+                    es.probe()
+    return machine.telemetry.metrics.snapshot()
+
+
+class TestOneMarginRule:
+    """Every probe path adds one margin per probed set, the same margin."""
+
+    @pytest.mark.parametrize("path", ["monitor", "sweep", "per-set"])
+    def test_one_margin_per_probed_set(self, path):
+        assert _margins(_probe_through(path))["count"] == N_PROBES * N_SETS
+
+    def test_paths_record_the_same_margins(self):
+        monitor = _probe_through("monitor")
+        assert monitor["counters"]["probe.misses"] > 0  # traffic landed
+        assert _margins(_probe_through("sweep")) == _margins(monitor)
+        assert _margins(_probe_through("per-set")) == _margins(monitor)
+
+    def test_fast_forward_records_k_probes(self):
+        from repro.attack.primeprobe import SetSweep
+
+        # Quiet machine: every line stays resident, so the probes are the
+        # all-hit ones fast_forward stands for.
+        machine, spy, sets = _probe_rig(traffic=False)
+        for es in sets:
+            es.prime()
+        sweep = SetSweep(spy, sets)
+        sweep.probe()
+        metrics = machine.telemetry.metrics
+        before = _margins(metrics.snapshot())["count"]
+        sweep.fast_forward(7)
+        assert _margins(metrics.snapshot())["count"] - before == 7 * N_SETS
+
+
 class TestBitIdentityAtHookSites:
     """Quality hooks must not perturb results — on, off, or absent."""
 
