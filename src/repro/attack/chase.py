@@ -189,8 +189,7 @@ class PacketChaser:
             k = -((now - deadline) // quiet)
             if nxt is not None:
                 k = min(k, (nxt - 1 - now) // quiet)
-            if llc.mapping.epoch_period:
-                k = min(k, llc.accesses_until_rekey() // sweep.n_accesses)
+            k = min(k, llc.accesses_until_rekey() // sweep.n_accesses)
             if k > 0:
                 sweep.fast_forward(k)
                 clock.advance(k * poll_wait)

@@ -10,14 +10,16 @@ analogue here:
   same-offset lines of different pages no longer share sets;
 * every ``epoch_period`` cache accesses the LLC re-keys: it snapshots
   resident lines in recency order, installs fresh round keys via
-  :meth:`advance_epoch`, and reinserts each line under the new mapping.
+  :meth:`advance_epoch`, and reinserts each line under the new mapping
+  (in closed form, :meth:`~repro.cache.engine.CacheEngine.reload`).
   Lines whose new set fills before their turn are dropped (dirty ones
   written back); :class:`~repro.cache.backends.base.MappingStats`
   accounts both outcomes exactly.
 
 Between re-keys the mapping is static, so the batched kernels stay
 valid; the LLC falls back to the scalar path for any batch a re-key
-would land inside (the interleaving-observable case).
+would land inside (the interleaving-observable case), and an rx burst
+ends before the re-key.
 """
 
 from __future__ import annotations

@@ -260,20 +260,58 @@ class CacheEngine:
             self._n_io[flat] -= 1
         return line, flags
 
-    def reset(self) -> None:
-        """Empty every set, keeping the tick counter monotonic.
+    def reload(
+        self, flats: np.ndarray, lines: np.ndarray, flags: np.ndarray
+    ) -> np.ndarray:
+        """Empty every set, then insert line ``i`` into set ``flats[i]`` in
+        array order: what a loop of :meth:`insert` leaves, in closed form.
 
-        Used by epoch re-keying: the LLC snapshots resident lines,
-        resets the arrays, and reinserts each line under the fresh
-        mapping — stamps issued after the reset stay strictly above any
-        issued before, so LRU order across the re-key remains coherent.
+        Used by epoch re-keying, which reinserts every resident line,
+        LRU to MRU, under the fresh mapping.  The tick keeps counting, so
+        the line at array position ``p`` is stamped ``tick + 1 + p``,
+        above every stamp issued before.  In a set, the loop puts its
+        ``j``-th line in way ``j % ways``: the first ``ways`` take the
+        free ways in order, and each later one evicts the set's LRU, the
+        line ``ways`` places before it, and takes its way.  So only each
+        set's last ``ways`` lines stay.
+
+        Returns the array positions of the dropped lines, ordered by the
+        position of the line that drops each: the loop's eviction order.
         """
+        ways = self.ways
+        n = len(flats)
+        order = np.argsort(flats, kind="stable")
+        sflats = flats[order]
+        counts = np.bincount(flats, minlength=self.n_sets)
+        rank = np.arange(n) - (np.cumsum(counts) - counts)[sflats]
+        keep = rank >= counts[sflats] - ways
+        kept = order[keep]
+        kflats = sflats[keep]
+        kways = rank[keep] % ways
+        klines = lines[kept]
+        kflags = flags[kept]
+        slots = kflats * ways + kways
         self.tags.fill(-1)
         self.flags.fill(0)
         self.stamps.fill(0)
-        self._size = [0] * self.n_sets
-        self._n_io = [0] * self.n_sets
+        self.tags[slots] = klines
+        self.flags[slots] = kflags
+        self.stamps[slots] = kept + (self._tick + 1)
+        self._tick += n
+        self._size = np.minimum(counts, ways).tolist()
+        io = (kflags & LINE_IO) != 0
+        self._n_io = np.bincount(kflats[io], minlength=self.n_sets).tolist()
+        # Python ints: flat * 2**58 overflows int64 from flat 32 up.
+        span = self._line_span
         self._dir.clear()
+        self._dir.update(
+            (flat * span + line, way)
+            for flat, line, way in zip(kflats.tolist(), klines.tolist(), kways.tolist())
+        )
+        # The line at set rank j drops the one at rank j - ways, which
+        # sits ``ways`` places before it in the set-sorted order.
+        drop = np.flatnonzero(~keep)
+        return order[drop][np.argsort(order[drop + ways])]
 
     # ------------------------------------------------------------------
     # Introspection

@@ -29,6 +29,7 @@ preserved verbatim in :mod:`repro.cache.legacy` for differential testing.
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Iterator
 
 import numpy as np
@@ -156,8 +157,9 @@ class SlicedLLC:
                 backend, self.geometry, self.slice_hash, seed=seed
             )
         #: Epoch counter, bumped on every re-key.  Consumers holding
-        #: decomposition caches may key on it; the access paths below do
-        #: not need to (stale ``decomp`` hints are ignored when the
+        #: decomposition caches key on it (the rx path's
+        #: :class:`~repro.nic.driver.RxTemplates`); the access paths below
+        #: do not need to (stale ``decomp`` hints are ignored when the
         #: mapping is epochal).
         self.mapping_epoch = 0
         self._epochal = self.mapping.epoch_period > 0
@@ -168,6 +170,11 @@ class SlicedLLC:
             raise ValueError(
                 f"backend partitions ({self.mapping.n_partitions}) must "
                 f"divide ways ({self.geometry.ways})"
+            )
+        if self._skewed and self._epochal:
+            raise ValueError(
+                "a skewed backend cannot re-key: the re-key places lines "
+                "across all of a set's ways, not a partition's"
             )
         self._part_ways = self.geometry.ways // self.mapping.n_partitions
         self.engine = CacheEngine(self.geometry.total_sets, self.geometry.ways)
@@ -256,9 +263,12 @@ class SlicedLLC:
     # Epoch re-keying (epochal backends only)
     # ------------------------------------------------------------------
     def accesses_until_rekey(self) -> int:
-        """Accesses left before the next re-key fires (for introspection)."""
+        """Accesses the current mapping still serves: the budget an rx
+        burst (:meth:`rx_burst`) or a poll fast-forward
+        (:meth:`repeat_hits`) must fit in.  ``sys.maxsize`` when the
+        mapping is static, so the cut is one comparison on any backend."""
         if not self._epochal:
-            raise RuntimeError("mapping has no epochs")
+            return sys.maxsize
         return max(0, self._epoch_period - self._access_count)
 
     def _rekey(self, now: int) -> None:
@@ -270,9 +280,12 @@ class SlicedLLC:
         the new mapping in LRU-to-MRU order (so relative recency
         survives into the new sets), and a line whose new set is
         already full evicts that set's LRU — the displaced line is
-        *dropped* (written back if dirty).  ``MappingStats`` records
-        remapped vs dropped counts per epoch; the property suite pins
-        that they sum to the pre-re-key resident population.
+        *dropped* (written back if dirty).  The engine places the lines
+        in closed form (:meth:`CacheEngine.reload`); drops are accounted
+        here, in the order the reinsertion evicts them.
+        ``MappingStats`` records remapped vs dropped counts per epoch;
+        the property suite pins that they sum to the pre-re-key resident
+        population.
         """
         if self.partition is not None:
             raise RuntimeError(
@@ -282,44 +295,28 @@ class SlicedLLC:
             )
         engine = self.engine
         occ = np.flatnonzero(engine.tags != -1)
+        occ = occ[np.argsort(engine.stamps[occ], kind="stable")]
         lines = engine.tags[occ]
         flags = engine.flags[occ]
-        order = np.argsort(engine.stamps[occ], kind="stable")
         self.mapping.advance_epoch()
         self.mapping_epoch += 1
+        # One vectorised pass maps every resident line under the fresh
+        # keys and seeds the memo wholesale.
+        flats = self.mapping.flats_of_many(lines << self._offset_bits, lines)
         self._flat_memo.clear()
-        engine.reset()
+        self._flat_memo.update(zip(lines.tolist(), flats.tolist()))
+        dropped = engine.reload(flats, lines, flags)
+        n_dirty = int((flags[dropped] & LINE_DIRTY != 0).sum())
+        self.stats.invalidations += len(dropped)
+        self.stats.writebacks += n_dirty
+        self.traffic.writes += n_dirty
+        if self.evict_hook is not None:
+            for line in lines[dropped].tolist():
+                self.evict_hook(line)
         stats = self.mapping.stats
         stats.epochs += 1
-        shift = self._offset_bits
-        skewed = self._skewed
-        dropped = 0
-        # One vectorised pass maps every resident line under the fresh
-        # keys (and seeds the memo wholesale) — the reinsert loop below
-        # then only pays for engine bookkeeping, not per-line hashing.
-        new_flats = self.mapping.flats_of_many(lines << shift, lines)
-        self._flat_memo.update(zip(lines.tolist(), new_flats.tolist()))
-        for i in order.tolist():
-            line = int(lines[i])
-            line_flags = int(flags[i])
-            flat = int(new_flats[i])
-            if skewed:
-                evicted = engine.insert_in(
-                    flat, line, line_flags, *self._way_range(line)
-                )
-            else:
-                evicted = engine.insert(flat, line, line_flags)
-            if evicted is not None:
-                dropped += 1
-                ev_line, ev_flags = evicted
-                self.stats.invalidations += 1
-                if self.evict_hook is not None:
-                    self.evict_hook(ev_line)
-                if ev_flags & LINE_DIRTY:
-                    self.stats.writebacks += 1
-                    self.traffic.writes += 1
-        stats.lines_remapped += len(occ) - dropped
-        stats.lines_dropped += dropped
+        stats.lines_remapped += len(lines) - len(dropped)
+        stats.lines_dropped += len(dropped)
 
     # ------------------------------------------------------------------
     # CPU path
@@ -462,13 +459,13 @@ class SlicedLLC:
         """
         paddrs = np.asarray(paddrs, dtype=np.int64)
         n = len(paddrs) * repeats
+        if n > self.accesses_until_rekey():
+            raise ValueError(
+                f"{n} repeated accesses cross the re-key "
+                f"{self.accesses_until_rekey()} accesses ahead"
+            )
         if self._epochal:
             decomp = None  # may predate a re-key; recompute below
-            if n > self.accesses_until_rekey():
-                raise ValueError(
-                    f"{n} repeated accesses cross the re-key "
-                    f"{self.accesses_until_rekey()} accesses ahead"
-                )
         flats, lines = decomp if decomp is not None else self.decompose_many(paddrs)
         hit, ways = self.engine.lookup_many(flats, lines)
         if not hit.all():
@@ -662,19 +659,30 @@ class SlicedLLC:
         for the encoding and the round-by-rank application.
         ``folded_hits`` counts the driver re-touches of same-frame lines
         that were folded into ``stamp_offs`` (guaranteed hits, attributed
-        here).
+        here).  ``total_ops`` is the burst's LLC access count, the same
+        as the per-frame path's.
 
         Raises, with no state touched, when :meth:`supports_rx_burst`
-        does not hold.
+        does not hold or the burst would reach a re-key
+        (:meth:`accesses_until_rekey`): a burst runs under one mapping,
+        and the caller delivers the frame that reaches the re-key on its
+        own.
         """
         if not self.supports_rx_burst():
             raise RuntimeError(
                 "the rx burst kernel cannot model this cache policy "
                 "(see SlicedLLC.supports_rx_burst)"
             )
+        if total_ops > self.accesses_until_rekey():
+            raise ValueError(
+                f"{total_ops} burst accesses cross the re-key "
+                f"{self.accesses_until_rekey()} accesses ahead"
+            )
         pre_res, ev_pos, ev_lines, ev_flags = self.engine.rx_burst_apply(
             flats, lines, kinds, stamp_offs, total_ops, self.ddio.write_allocate_ways
         )
+        if self._epochal:
+            self._access_count += total_ops
         stats = self.stats
         fills = kinds == 0
         n_fill = int(fills.sum())
@@ -764,15 +772,15 @@ class SlicedLLC:
     def supports_rx_burst(self) -> bool:
         """Whether :meth:`rx_burst` models this cache's policy — the one
         list of what it covers: vanilla DDIO with an I/O way, no partition
-        or per-line hook, and a static (no mid-burst re-key), unskewed (no
-        way-restricted victims) index backend."""
+        or per-line hook, and an unskewed (no way-restricted victims)
+        index backend.  An epochal backend qualifies: each burst stays
+        inside one mapping epoch (:meth:`accesses_until_rekey`)."""
         return (
             self.ddio.enabled
             and self.ddio.write_allocate_ways >= 1
             and self.partition is None
             and self.evict_hook is None
             and self.io_fill_hook is None
-            and not self._epochal
             and not self._skewed
         )
 

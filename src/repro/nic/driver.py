@@ -21,9 +21,10 @@ Receive-path behaviour reproduced here:
   no skb, no flip — yet the payload already sits in the LLC if DDIO wrote
   it there, which is what makes the covert channel stealthy.
 
-Each receive is described once.  :meth:`IgbDriver._prep` runs its control
-flow (stats, receive log, skb cursor, page flip or replacement,
-randomizer), none of which reads cache state; :meth:`IgbDriver._reads`
+Each receive is described once.  :meth:`IgbDriver._path` picks its path,
+:meth:`IgbDriver._prep` runs its control flow (stats, receive log, skb
+cursor, page flip or replacement, randomizer), none of which reads cache
+state; :meth:`IgbDriver._reads`
 lists the buffer blocks it reads, in order, and
 :meth:`IgbDriver._skb_count` the skb lines it writes.  Per-frame
 :meth:`IgbDriver.receive` issues that sequence as batched
@@ -80,7 +81,7 @@ class ReceiveRecord:
 
 
 class RxTemplates:
-    """Per-buffer block-address templates for the batched rx datapath.
+    """Block-address templates for the batched rx datapath.
 
     An rx buffer is a fixed run of consecutive cache lines, so every touch
     sequence the NIC and driver issue against it — the DMA fill, the
@@ -88,22 +89,52 @@ class RxTemplates:
     ``base + [0, line, 2*line, ...]``.  The template is computed once per
     buffer base address and shared by the NIC and the driver; the cache is
     bounded because the randomization defenses replace buffer pages
-    continuously.
+    continuously.  The skb slab's decomposition is kept here too.
+
+    Every decomposition holds under one index mapping, so all of them are
+    tagged with the LLC's ``mapping_epoch``: on the first use after a
+    re-key they are recomputed together, in one
+    :meth:`~repro.cache.llc.SlicedLLC.decompose_many` call.
     """
 
     _MAX_ENTRIES = 4096
 
-    __slots__ = ("llc", "offsets", "_cache")
+    __slots__ = ("llc", "offsets", "_skb_paddrs", "_skb", "_cache", "_epoch")
 
-    def __init__(self, llc, buffer_size: int) -> None:
+    def __init__(self, llc, buffer_size: int, skb_paddrs: np.ndarray) -> None:
         self.llc = llc
         line = llc.geometry.line_size
         self.offsets = np.arange(buffer_size // line, dtype=np.int64) * line
+        self._skb_paddrs = skb_paddrs
+        self._skb = llc.decompose_many(skb_paddrs)
         self._cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._epoch = llc.mapping_epoch
+
+    def _refresh(self) -> None:
+        """Recompute every decomposition under the current mapping."""
+        entries = list(self._cache.items())
+        n_skb = len(self._skb_paddrs)
+        width = len(self.offsets)
+        flats, lines = self.llc.decompose_many(
+            np.concatenate([self._skb_paddrs, *(p for _b, (p, _f, _l) in entries)])
+        )
+        self._skb = flats[:n_skb], lines[:n_skb]
+        for i, (base, (paddrs, _f, _l)) in enumerate(entries):
+            lo = n_skb + i * width
+            self._cache[base] = (paddrs, flats[lo : lo + width], lines[lo : lo + width])
+        self._epoch = self.llc.mapping_epoch
+
+    def skb(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(flats, lines)`` of every skb slab line, in slab order."""
+        if self._epoch != self.llc.mapping_epoch:
+            self._refresh()
+        return self._skb
 
     def decomp(self, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(paddrs, flats, lines)`` arrays for every block of the buffer
         at ``base``; slice before use."""
+        if self._epoch != self.llc.mapping_epoch:
+            self._refresh()
         entry = self._cache.get(base)
         if entry is None:
             if len(self._cache) >= self._MAX_ENTRIES:
@@ -141,11 +172,9 @@ class IgbDriver:
         #: Optional randomization defense (see repro.defense.randomization).
         self.randomizer = None
         self._line = machine.llc.geometry.line_size
-        #: Per-buffer block decompositions, shared with the NIC's DMA fill.
-        self.templates = RxTemplates(machine.llc, self.config.buffer_size)
         # skb slab: a modest recycled kernel region the copy path writes to.
-        # The region is fixed at driver init, so its translation and cache
-        # decomposition are precomputed once and indexed per write.
+        # The region is fixed at driver init, so its translation is
+        # precomputed once and indexed per write.
         self._skb_region = machine.kernel.mmap(16)
         self._skb_cursor = 0
         self._skb_lines = 16 * machine.physmem.page_size // self._line
@@ -157,8 +186,9 @@ class IgbDriver:
             np.int64,
             count=self._skb_lines,
         )
-        self._skb_flats, self._skb_line_ids = machine.llc.decompose_many(
-            self._skb_paddrs
+        #: Buffer and skb slab decompositions, shared with the NIC.
+        self.templates = RxTemplates(
+            machine.llc, self.config.buffer_size, self._skb_paddrs
         )
 
     # ------------------------------------------------------------------
@@ -227,17 +257,27 @@ class IgbDriver:
         kinds.flags.writeable = offs.flags.writeable = False  # cached, shared
         return kinds, offs, span + n_skb, span - len(blocks), len(blocks)
 
+    def _path(self, frame: Frame) -> int:
+        """Which receive a frame takes: broadcast, copy or fragment.  Both
+        delivery paths decide it first: a burst needs it to size the
+        frame's cache work before running the frame."""
+        if frame.is_broadcast():
+            return self._PATH_BCAST
+        if frame.size <= self.config.copy_threshold:
+            return self._PATH_COPY
+        return self._PATH_FRAG
+
     def _prep(
-        self, frame: Frame, buffer: RxBuffer, ring_slot: int, now: int
-    ) -> tuple[int, slice | np.ndarray | None]:
-        """The receive's control flow: stats, receive log, skb cursor, page
-        flip or replacement, randomizer.
+        self, frame: Frame, path: int, buffer: RxBuffer, ring_slot: int, now: int
+    ) -> slice | np.ndarray | None:
+        """The control flow of a ``path`` receive: stats, receive log, skb
+        cursor, page flip or replacement, randomizer.
 
         None of it reads cache state, so both delivery paths run it before
         the frame's cache touches.  It may flip or replace ``buffer``: take
-        its address first.  Returns ``(path, skb)``, where ``skb`` indexes
-        the slab lines the frame writes (a slice, or an index array when
-        the cursor wraps; None for a broadcast, which builds no skb).
+        its address first.  Returns the slab lines the frame writes to its
+        skb (a slice, or an index array when the cursor wraps; None for a
+        broadcast, which builds no skb).
         """
         n = frame.n_blocks(self._line)
         self.stats.frames += 1
@@ -254,18 +294,15 @@ class IgbDriver:
                 )
             )
         skb = None
-        if frame.is_broadcast():
-            path = self._PATH_BCAST
+        if path == self._PATH_BCAST:
             self.stats.discarded += 1
-        elif frame.size <= self.config.copy_threshold:
-            path = self._PATH_COPY
+        elif path == self._PATH_COPY:
             self.stats.copied += 1
             skb = self._skb_take(self._skb_count(path, n))
             if buffer.node != self.local_node:
                 # Remote page: put_page + fresh allocation (cannot be reused).
                 self._replace(buffer)
         else:
-            path = self._PATH_FRAG
             self.stats.fragged += 1
             skb = self._skb_take(self._skb_count(path, n))
             if buffer.node != self.local_node or self.rng.random() < self.shared_page_prob:
@@ -282,7 +319,7 @@ class IgbDriver:
                     )
         if self.randomizer is not None:
             self.randomizer.on_packet(self, buffer)
-        return path, skb
+        return skb
 
     def _skb_take(self, n_lines: int) -> slice | np.ndarray:
         """Advance the recycled skb slab's cursor by ``n_lines``; returns
@@ -297,8 +334,13 @@ class IgbDriver:
     # ------------------------------------------------------------------
     # Per-frame receive
     # ------------------------------------------------------------------
-    def receive(self, frame: Frame, buffer: RxBuffer, ring_slot: int) -> None:
-        """Process one frame that the NIC has DMA'd into ``buffer``."""
+    def receive(
+        self, frame: Frame, buffer: RxBuffer, ring_slot: int, now: int | None = None
+    ) -> None:
+        """Process one frame that the NIC has DMA'd into ``buffer``, at
+        cycle ``now`` (default: the current time)."""
+        if now is None:
+            now = self.machine.clock.now
         tele = self.machine.telemetry
         if tele is not None and tele.tracer.enabled:
             with tele.tracer.span(
@@ -308,19 +350,21 @@ class IgbDriver:
                     "slot": ring_slot,
                     "size": frame.size,
                     "blocks": frame.n_blocks(self._line),
-                    "sim_now": self.machine.clock.now,
+                    "sim_now": now,
                 },
             ):
-                self._receive(frame, buffer, ring_slot)
+                self._receive(frame, buffer, ring_slot, now)
             return
-        self._receive(frame, buffer, ring_slot)
+        self._receive(frame, buffer, ring_slot, now)
 
-    def _receive(self, frame: Frame, buffer: RxBuffer, ring_slot: int) -> None:
+    def _receive(
+        self, frame: Frame, buffer: RxBuffer, ring_slot: int, now: int
+    ) -> None:
         machine = self.machine
         llc = machine.llc
-        now = machine.clock.now
         base = buffer.dma_paddr  # before _prep flips or replaces the buffer
-        path, skb = self._prep(frame, buffer, ring_slot, now)
+        path = self._path(frame)
+        skb = self._prep(frame, path, buffer, ring_slot, now)
         if path == self._PATH_BCAST:
             # A broadcast reads blocks 0 and 1 only: two scalar accesses beat
             # the batch setup cost on this (covert channel) hot path.
@@ -336,11 +380,12 @@ class IgbDriver:
             # makes size detection of large packets noisier (Section IV-d).
             reads, deferred = reads[:2], reads[2:]
         llc.access_many(paddrs[reads], now=now, decomp=(flats[reads], lines[reads]))
+        skb_flats, skb_lines = self.templates.skb()
         llc.access_many(
             self._skb_paddrs[skb],
             write=True,
             now=now,
-            decomp=(self._skb_flats[skb], self._skb_line_ids[skb]),
+            decomp=(skb_flats[skb], skb_lines[skb]),
         )
         if deferred is not None:
 

@@ -71,8 +71,12 @@ class Nic:
             decomp=(flats[:n_blocks], lines[:n_blocks]),
         )
 
-    def deliver(self, frame: Frame) -> None:
-        """Receive one frame at the current simulated time."""
+    def deliver(self, frame: Frame, now: int | None = None) -> None:
+        """Receive one frame at cycle ``now`` (default: the current time).
+
+        A burst passes the frame's arrival cycle, which the clock may
+        already have passed.
+        """
         if frame.size > self.ring.config.buffer_size:
             self.stats.oversize_dropped += 1
             return
@@ -84,7 +88,8 @@ class Nic:
             self.stats.overflow_dropped += 1
             return
         llc = machine.llc
-        now = machine.clock.now
+        if now is None:
+            now = machine.clock.now
         ring_slot = self.ring.head
         buffer = self.ring.advance()
         base = buffer.dma_paddr
@@ -117,7 +122,7 @@ class Nic:
         if llc.ddio.enabled and not stall:
             # Interrupt + driver processing happen effectively at arrival
             # (the driver runs on another core; its accesses are immediate).
-            self.driver.receive(frame, buffer, ring_slot)
+            self.driver.receive(frame, buffer, ring_slot, now)
         else:
             # The driver sees the frame only after the I/O-write-to-read
             # latency; schedule the receive on the event queue.
@@ -153,20 +158,40 @@ class Nic:
         (:meth:`~repro.nic.driver.IgbDriver._burst_template`), in one
         :meth:`~repro.cache.llc.SlicedLLC.rx_burst` engine call (a
         round-by-rank kernel, see
-        :meth:`~repro.cache.engine.CacheEngine.rx_burst_apply`).  The
-        final machine state is bit-identical to a loop of
-        :meth:`deliver` — pinned by ``tests/test_rx_equivalence.py``.
+        :meth:`~repro.cache.engine.CacheEngine.rx_burst_apply`).
+
+        A burst runs under one index mapping.  Frames are collected while
+        their accesses fit in
+        :meth:`~repro.cache.llc.SlicedLLC.accesses_until_rekey`; the frame
+        that would reach a re-key is delivered on its own, after the
+        frames before it, so the re-key fires at its exact access, and
+        collection then starts again under the new mapping.  The final
+        machine state is bit-identical to a loop of :meth:`deliver` —
+        pinned by ``tests/test_rx_equivalence.py``.
         """
+        i = 0
+        while i < len(batch):
+            i = self._burst(batch, i)
+            if i < len(batch):
+                at, frame = batch[i]
+                self.deliver(frame, at)
+                i += 1
+
+    def _burst(self, batch: list[tuple[int, "Frame"]], start: int) -> int:
+        """Collect ``batch[start:]`` while it fits in the accesses left
+        before the next re-key, apply the collected frames in one
+        ``rx_burst`` call, and return the index of the first frame left
+        out (``len(batch)`` when all fit)."""
         driver = self.driver
         clock = self.machine.clock
+        llc = self.machine.llc
         ring = self.ring
         buffer_size = ring.config.buffer_size
         stats = self.stats
         line = self._line
-        decomp = driver.templates.decomp
+        templates = driver.templates
         template = driver._burst_template
-        skb_flats = driver._skb_flats
-        skb_lines = driver._skb_line_ids
+        budget = llc.accesses_until_rekey()
         flat_parts: list[np.ndarray] = []
         line_parts: list[np.ndarray] = []
         kind_parts: list[np.ndarray] = []
@@ -175,22 +200,29 @@ class Nic:
         lens: list[int] = []
         span_total = 0
         folded = 0
-        for at, frame in batch:
+        stop = len(batch)
+        for i in range(start, len(batch)):
+            at, frame = batch[i]
             clock.advance_to(at)
             if frame.size > buffer_size:
                 stats.oversize_dropped += 1
                 continue
+            n = frame.n_blocks(line)
+            path = driver._path(frame)
+            kinds_t, offs_t, span_t, folded_t, buf_ops = template(path, n)
+            if span_total + span_t > budget:
+                stop = i
+                break
             ring_slot = ring.head
             buffer = ring.advance()
-            _paddrs, flats, lines = decomp(buffer.dma_paddr)
-            n = frame.n_blocks(line)
+            _paddrs, flats, lines = templates.decomp(buffer.dma_paddr)
             stats.frames += 1
             stats.blocks_written += n
-            path, skb = driver._prep(frame, buffer, ring_slot, at)
-            kinds_t, offs_t, span_t, folded_t, buf_ops = template(path, n)
+            skb = driver._prep(frame, path, buffer, ring_slot, at)
             flat_parts.append(flats[:buf_ops])
             line_parts.append(lines[:buf_ops])
             if skb is not None:
+                skb_flats, skb_lines = templates.skb()
                 flat_parts.append(skb_flats[skb])
                 line_parts.append(skb_lines[skb])
             kind_parts.append(kinds_t)
@@ -199,16 +231,16 @@ class Nic:
             lens.append(len(offs_t))
             span_total += span_t
             folded += folded_t
-        if not kind_parts:
-            return
-        offs = np.concatenate(off_parts) + np.repeat(
-            np.asarray(bases, dtype=np.int64), lens
-        )
-        self.machine.llc.rx_burst(
-            np.concatenate(flat_parts),
-            np.concatenate(line_parts),
-            np.concatenate(kind_parts),
-            offs,
-            span_total,
-            folded,
-        )
+        if kind_parts:
+            offs = np.concatenate(off_parts) + np.repeat(
+                np.asarray(bases, dtype=np.int64), lens
+            )
+            llc.rx_burst(
+                np.concatenate(flat_parts),
+                np.concatenate(line_parts),
+                np.concatenate(kind_parts),
+                offs,
+                span_total,
+                folded,
+            )
+        return stop

@@ -9,6 +9,8 @@ Pins the contracts the LLC integration relies on:
 * the modulo backend reproduces the pre-backend inline formula exactly;
 * epoch re-keying accounts every resident line (remapped + dropped ==
   resident before), bumps the epoch, and reseeds the memo;
+* the closed-form re-key leaves exactly what the per-line reinsert loop
+  it replaced leaves, evict-hook order included;
 * batched ``access_many`` / ``io_write_many`` stay equivalent to scalar
   loops under keyed and skewed backends (including batches a re-key
   lands inside);
@@ -17,6 +19,9 @@ Pins the contracts the LLC integration relies on:
 """
 
 from __future__ import annotations
+
+import copy
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +38,7 @@ from repro.cache.backends import (
     parse_backend_spec,
 )
 from repro.cache.backends.base import keyed_permute_many
+from repro.cache.cacheset import LINE_DIRTY
 from repro.cache.llc import SlicedLLC
 from repro.cache.slicehash import IntelComplexHash
 from repro.core.config import CacheGeometry
@@ -194,6 +200,103 @@ class TestEpochRekeying:
             llc.cpu_access(i << GEOMETRY.offset_bits)
         assert llc.mapping_epoch == 0
         assert llc.mapping.stats.epochs == 0
+        assert llc.accesses_until_rekey() == sys.maxsize
+
+    def test_skewed_mapping_cannot_rekey(self):
+        mapping = _mapping("skewed:partitions=3")
+        mapping.epoch_period = 64
+        with pytest.raises(ValueError, match="skewed"):
+            SlicedLLC(geometry=GEOMETRY, backend=mapping)
+
+
+def _rekey_loop(llc: SlicedLLC) -> None:
+    """The per-line re-key the closed form replaced, kept as its
+    reference: reinsert every resident line, LRU to MRU, through scalar
+    ``CacheEngine.insert`` and account each eviction as it happens."""
+    engine = llc.engine
+    occ = np.flatnonzero(engine.tags != -1)
+    lines = engine.tags[occ]
+    flags = engine.flags[occ]
+    order = np.argsort(engine.stamps[occ], kind="stable")
+    llc.mapping.advance_epoch()
+    llc.mapping_epoch += 1
+    engine.tags.fill(-1)
+    engine.flags.fill(0)
+    engine.stamps.fill(0)
+    engine._size = [0] * engine.n_sets
+    engine._n_io = [0] * engine.n_sets
+    engine._dir.clear()
+    stats = llc.mapping.stats
+    stats.epochs += 1
+    new_flats = llc.mapping.flats_of_many(lines << GEOMETRY.offset_bits, lines)
+    llc._flat_memo.clear()
+    llc._flat_memo.update(zip(lines.tolist(), new_flats.tolist()))
+    dropped = 0
+    for i in order.tolist():
+        evicted = engine.insert(int(new_flats[i]), int(lines[i]), int(flags[i]))
+        if evicted is not None:
+            dropped += 1
+            ev_line, ev_flags = evicted
+            llc.stats.invalidations += 1
+            if llc.evict_hook is not None:
+                llc.evict_hook(ev_line)
+            if ev_flags & LINE_DIRTY:
+                llc.stats.writebacks += 1
+                llc.traffic.writes += 1
+    stats.lines_remapped += len(occ) - dropped
+    stats.lines_dropped += dropped
+
+
+def _rekey_state(llc: SlicedLLC, hooked: list[int]) -> dict:
+    engine = llc.engine
+    return {
+        "tags": engine.tags.tolist(),
+        "flags": engine.flags.tolist(),
+        "stamps": engine.stamps.tolist(),
+        "dir": dict(engine._dir),
+        "size": list(engine._size),
+        "n_io": list(engine._n_io),
+        "tick": engine._tick,
+        "stats": llc.stats.snapshot(),
+        "traffic": (llc.traffic.reads, llc.traffic.writes),
+        "mapping": llc.mapping.stats.snapshot(),
+        "epoch": (llc.mapping_epoch, llc.mapping.epoch),
+        "memo": dict(llc._flat_memo),
+        "hooked": hooked,
+    }
+
+
+class TestClosedFormRekey:
+    @pytest.mark.parametrize("n_ops", [0, 40, 300, 1200])
+    def test_matches_the_reinsert_loop(self, n_ops):
+        """Twelve random keyed states per size (48 in all): CPU reads and
+        writes, DMA fills and flushes, with an evict hook installed."""
+        drops = 0
+        for seed in range(12):
+            rng = np.random.default_rng(1000 * n_ops + seed)
+            llc = _llc("keyed:epoch=0", seed=seed)
+            for _ in range(n_ops):
+                kind = int(rng.integers(0, 4))
+                paddr = int(rng.integers(0, 900)) << GEOMETRY.offset_bits
+                if kind == 3:
+                    llc.io_write(paddr)
+                elif kind == 2:
+                    llc.flush(paddr)
+                else:
+                    llc.cpu_access(paddr, write=kind == 1)
+            loop, closed = llc, copy.deepcopy(llc)
+            hooked_loop: list[int] = []
+            hooked_closed: list[int] = []
+            loop.evict_hook = hooked_loop.append
+            closed.evict_hook = hooked_closed.append
+            _rekey_loop(loop)
+            closed._rekey(now=0)
+            a = _rekey_state(loop, hooked_loop)
+            b = _rekey_state(closed, hooked_closed)
+            for key in a:
+                assert a[key] == b[key], f"{key} diverged (n_ops={n_ops}, seed={seed})"
+            drops += a["mapping"]["lines_dropped"]
+        assert drops > 0 or n_ops < 300  # the larger states drop lines
 
 
 def _random_ops(seed: int, n: int):

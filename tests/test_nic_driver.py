@@ -251,13 +251,13 @@ class TestHeavyFaultRx:
 class TestBurstGuard:
     """``SlicedLLC.supports_rx_burst`` is the one list of cache policies
     the rx burst kernel models: under any other, ``rx_burst`` raises
-    before touching state and the NIC never batches."""
+    before touching state and the NIC never batches.  An epochal index
+    is supported; there a burst must end before the next re-key."""
 
     POLICIES = [
         "partition",
         "evict_hook",
         "ddio-off",
-        "keyed:epoch=50000",
         "skewed:partitions=2",
     ]
 
@@ -309,6 +309,49 @@ class TestBurstGuard:
         assert engine._tick == before[3]
         assert llc.stats.snapshot() == before[4]
         assert not machine.nic.can_batch()
+
+    def test_keyed_burst_stops_at_the_rekey(self, scaled_config):
+        import numpy as np
+
+        machine = self._machine(scaled_config, "keyed:epoch=50000")
+        for size in (1500, 128, 64):
+            machine.nic.deliver(Frame(size=size, protocol="tcp"))
+        machine.run_events_until(machine.clock.now + 200_000)
+        llc, engine = machine.llc, machine.llc.engine
+        assert llc.supports_rx_burst() and machine.nic.can_batch()
+
+        def state():
+            arrays = [a.copy() for a in (engine.tags, engine.flags, engine.stamps)]
+            counts = (
+                engine._tick,
+                llc.stats.snapshot(),
+                llc._access_count,
+                llc.mapping_epoch,
+            )
+            return arrays, counts
+
+        arrays, counts = state()
+        paddrs, flats, lines = machine.driver.templates.decomp(
+            machine.ring.next_buffer().dma_paddr
+        )
+        kinds = np.zeros(4, dtype=np.uint8)
+        offs = np.arange(4, dtype=np.int64)
+        budget = llc.accesses_until_rekey()
+        assert 4 <= budget < 50_000
+        with pytest.raises(ValueError):
+            llc.rx_burst(flats[:4], lines[:4], kinds, offs, budget + 1, 0)
+        arrays_after, counts_after = state()
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, arrays_after))
+        assert counts_after == counts
+        # A burst that exactly fills the budget applies under the old
+        # mapping; the next access fires the re-key.
+        epoch = llc.mapping_epoch
+        llc.rx_burst(flats[:4], lines[:4], kinds, offs, budget, 0)
+        assert llc.mapping_epoch == epoch
+        assert llc.accesses_until_rekey() == 0
+        assert all(llc.is_resident(int(p)) for p in paddrs[:4])
+        llc.cpu_access(int(paddrs[0]))
+        assert llc.mapping_epoch == epoch + 1
 
     def test_can_batch_is_supported_policy_without_faults(self, scaled_config):
         from repro.core.machine import Machine

@@ -15,7 +15,9 @@ The configuration matrix crosses {DDIO on/off} x {faults off/heavy} x
 {partition off/on}, plus ring-randomization configs (partial and full)
 and a zero copy threshold, under which even one-block frames take the
 fragment path; over the full matrix more than 10k randomized frames are
-replayed per side.
+replayed per side.  Keyed-index rows re-key inside the burst windows:
+there a burst stops at the re-key and the frame that reaches it is
+delivered on its own, which the mapping stats and epoch pin as well.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import dataclasses
 import random
 
 import pytest
+
+import numpy as np
 
 from repro.core.config import DDIOConfig, MachineConfig, RingConfig
 from repro.core.machine import Machine
@@ -63,8 +67,10 @@ def build_machine(
     partition: bool,
     randomize: bool | str,
     copy_threshold: int = COPY,
+    backend: str = "modulo",
 ) -> Machine:
     cfg = MachineConfig().scaled_down()
+    cfg.cache_backend = backend
     cfg.ddio = DDIOConfig(
         enabled=ddio, write_allocate_ways=cfg.ddio.write_allocate_ways
     )
@@ -123,40 +129,49 @@ def full_state(m: Machine):
         ],
         "ring": m.ring.order_fingerprint(),
         "lines": lines,
+        "mapping": (m.llc.mapping.stats.snapshot(), m.llc.mapping_epoch),
         "now": m.clock.now,
     }
 
 
-# (ddio, faults, partition, randomize, copy_threshold, n_frames), where
-# randomize is False, True (partial: permute the ring every 16 packets) or
-# "full" (a fresh page per packet); >= 10k frames in total.
+# (ddio, faults, partition, randomize, copy_threshold, n_frames, backend),
+# where randomize is False, True (partial: permute the ring every 16
+# packets) or "full" (a fresh page per packet); >= 10k frames in total.
+# The keyed rows run with DDIO on and no faults, where bursts engage;
+# epoch=700 re-keys inside most burst windows.
 MATRIX = [
-    (True, "off", False, False, COPY, 2600),
-    (True, "off", True, False, COPY, 1200),
-    (True, "heavy", False, False, COPY, 1200),
-    (True, "heavy", True, False, COPY, 1000),
-    (False, "off", False, False, COPY, 1200),
-    (False, "off", True, False, COPY, 1000),
-    (False, "heavy", False, False, COPY, 1000),
-    (False, "heavy", True, False, COPY, 1000),
-    (True, "off", False, True, COPY, 1200),
-    (False, "heavy", False, "full", COPY, 1000),
-    (True, "off", False, False, 0, 1000),
+    (True, "off", False, False, COPY, 2600, "modulo"),
+    (True, "off", True, False, COPY, 1200, "modulo"),
+    (True, "heavy", False, False, COPY, 1200, "modulo"),
+    (True, "heavy", True, False, COPY, 1000, "modulo"),
+    (False, "off", False, False, COPY, 1200, "modulo"),
+    (False, "off", True, False, COPY, 1000, "modulo"),
+    (False, "heavy", False, False, COPY, 1000, "modulo"),
+    (False, "heavy", True, False, COPY, 1000, "modulo"),
+    (True, "off", False, True, COPY, 1200, "modulo"),
+    (False, "heavy", False, "full", COPY, 1000, "modulo"),
+    (True, "off", False, False, 0, 1000, "modulo"),
+    (True, "off", False, False, COPY, 1200, "keyed:epoch=3000"),
+    (True, "off", False, False, COPY, 1000, "keyed:epoch=700"),
+    (True, "off", False, False, 0, 1000, "keyed:epoch=3000"),
+    (True, "off", False, True, COPY, 1000, "keyed:epoch=3000"),
 ]
 
-assert sum(case[-1] for case in MATRIX) >= 10_000
+assert sum(case[-2] for case in MATRIX) >= 10_000
 
 
 @pytest.mark.parametrize(
-    "ddio,faults,partition,randomize,copy_threshold,n_frames",
+    "ddio,faults,partition,randomize,copy_threshold,n_frames,backend",
     MATRIX,
     ids=[
-        f"ddio={d}-faults={f}-part={p}-rand={r}" + (f"-copy={c}" if c != COPY else "")
-        for d, f, p, r, c, _ in MATRIX
+        f"ddio={d}-faults={f}-part={p}-rand={r}"
+        + (f"-copy={c}" if c != COPY else "")
+        + (f"-{b}" if b != "modulo" else "")
+        for d, f, p, r, c, _, b in MATRIX
     ],
 )
 def test_rx_datapath_equivalence(
-    ddio, faults, partition, randomize, copy_threshold, n_frames
+    ddio, faults, partition, randomize, copy_threshold, n_frames, backend
 ):
     seed = (
         1000 * ddio
@@ -165,7 +180,7 @@ def test_rx_datapath_equivalence(
         + (2 if randomize == "full" else int(randomize))
         + 5 * (copy_threshold == 0)
     )
-    config = (ddio, faults, partition, randomize, copy_threshold)
+    config = (ddio, faults, partition, randomize, copy_threshold, backend)
     legacy = build_machine(True, *config)
     batched = build_machine(False, *config)
     trace_a = run_workload(legacy, seed, n_frames)
@@ -177,26 +192,67 @@ def test_rx_datapath_equivalence(
     # The workload actually delivered frames through the datapath.
     assert batched.nic.stats.frames > 0
     assert batched.driver.stats.frames > 0
+    if backend != "modulo":
+        assert batched.llc.mapping_epoch >= 2  # re-keys landed in the run
 
 
 def test_bursts_actually_used():
-    """The burst drain path really engages on the eligible config (so the
-    equivalence above covers it, not just the scalar fallback)."""
-    m = build_machine(False, True, "off", False, False)
-    drained = []
-    src = MixedStream(3, count=200, rate_pps=400_000.0)
-    orig = src._drain
+    """The burst drain path really engages on the eligible configs, under
+    a static and a keyed index (so the equivalence above covers it, not
+    just the scalar fallback)."""
+    for backend in ("modulo", "keyed:epoch=3000"):
+        m = build_machine(False, True, "off", False, False, backend=backend)
+        drained = []
+        src = MixedStream(3, count=200, rate_pps=400_000.0)
+        orig = src._drain
 
-    def spy_drain(event, limit):
-        drained.append(event.time)
-        return orig(event, limit)
+        def spy_drain(event, limit, orig=orig):
+            drained.append(event.time)
+            return orig(event, limit)
 
-    src._drain = spy_drain
-    src.attach(m, m.nic)
-    m.drain_events()
-    assert src.sent == 200
-    # Far fewer drain invocations than frames: frames were bursted.
-    assert 0 < len(drained) < 200 / 2
+        burst_ops = []
+        rx_burst = m.llc.rx_burst
+
+        def spy_rx_burst(*args, rx_burst=rx_burst):
+            burst_ops.append(args[-2])
+            return rx_burst(*args)
+
+        src._drain = spy_drain
+        m.llc.rx_burst = spy_rx_burst
+        src.attach(m, m.nic)
+        m.drain_events()
+        assert src.sent == 200
+        # Far fewer drain invocations than frames: frames were bursted ...
+        assert 0 < len(drained) < 200 / 2, backend
+        # ... and their cache work went through the burst kernel.
+        assert len(burst_ops) > 0 and sum(burst_ops) > 200, backend
+
+
+def test_templates_follow_the_keyed_epoch():
+    """Over several keyed epochs: the rx templates equal a fresh
+    decomposition (the first use after a re-key recomputes them, skb slab
+    included), and every ring buffer's lines, in both page halves, sit in
+    distinct sets.  The burst template folds a frame's re-touches of its
+    own buffer lines as hits, which needs the latter: for a fixed tag the
+    keyed index is a permutation, and a buffer never crosses a tag
+    boundary."""
+    m = build_machine(False, True, "off", False, False, backend="keyed:epoch=3000")
+    llc, templates = m.llc, m.driver.templates
+    size = m.ring.config.buffer_size
+    offsets = np.arange(0, 2 * size, llc.geometry.line_size, dtype=np.int64)
+    for _epoch in range(4):
+        skb = templates.skb()
+        fresh = llc.decompose_many(m.driver._skb_paddrs)
+        assert all(np.array_equal(a, b) for a, b in zip(skb, fresh))
+        for buffer in m.ring.buffers:
+            paddrs, flats, lines = templates.decomp(buffer.dma_paddr)
+            fresh = llc.decompose_many(paddrs)
+            assert all(np.array_equal(a, b) for a, b in zip((flats, lines), fresh))
+            page_flats, _lines = llc.decompose_many(buffer.page_paddr + offsets)
+            for half in np.split(page_flats, 2):
+                assert len(np.unique(half)) == len(half)
+        llc._rekey(m.clock.now)
+    assert llc.mapping_epoch == 4
 
 
 def test_burst_window_respects_other_events():
