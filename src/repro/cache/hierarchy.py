@@ -8,9 +8,15 @@ working sets filter out of the LLC traffic realistically.
 
 The hierarchy is inclusive, like the Intel parts the paper targets: an LLC
 eviction back-invalidates the L1 copy.
+
+Victim memory is stepped a run at a time: :meth:`CacheHierarchy.access_run`
+walks consecutive lines through L1 then LLC in one loop, stopping at the
+caller's next pending event.
 """
 
 from __future__ import annotations
+
+import sys
 
 from repro.cache.cacheset import CacheSet, LINE_DIRTY
 from repro.cache.llc import SlicedLLC
@@ -62,7 +68,8 @@ class CacheHierarchy:
     """L1 + shared LLC with inclusive back-invalidation.
 
     One instance per simulated core/process in the performance model; all
-    instances share the same :class:`SlicedLLC`.
+    instances share the same :class:`SlicedLLC`.  :meth:`access_run` is the
+    one L1 → LLC step; :meth:`access` is a one-line run.
     """
 
     def __init__(
@@ -86,16 +93,60 @@ class CacheHierarchy:
         llc.evict_hook = _back_invalidate
 
     def access(self, paddr: int, write: bool = False, now: int = 0) -> tuple[bool, int]:
-        """Access through L1 then LLC; returns (l1_hit, total_latency)."""
-        if self.l1.access(paddr, write):
-            return True, self.timing.l1_hit_latency
-        _llc_hit, llc_latency = self.llc.cpu_access(paddr, write=write, now=now)
-        evicted = self.l1.fill(paddr, write)
-        if evicted is not None:
-            line_addr, flags = evicted
-            if flags & LINE_DIRTY:
-                # Dirty L1 writeback lands in the (inclusive) LLC copy.
-                victim_paddr = line_addr << self.llc.geometry.offset_bits
-                llc_set = self.llc.sets[self.llc.flat_set_of(victim_paddr)]
-                llc_set.touch(line_addr, set_dirty=True)
-        return False, self.timing.l1_hit_latency + llc_latency
+        """Access through L1 then LLC; returns (l1_hit, total_latency).
+
+        A one-line :meth:`access_run`.  Only an L1 hit costs exactly
+        ``l1_hit_latency``: a miss adds an LLC latency, which
+        :class:`TimingParams` keeps positive.
+        """
+        latency = self.access_run(paddr, 1, write, now, sys.maxsize)[1] - now
+        return latency == self.timing.l1_hit_latency, latency
+
+    def access_run(
+        self, paddr: int, n_lines: int, write: bool, now: int, until: int
+    ) -> tuple[int, int]:
+        """Access ``n_lines`` consecutive lines from ``paddr``, one after
+        another from cycle ``now``; returns ``(lines done, cycle after)``.
+
+        Each line goes L1 → LLC on a miss → L1 fill → dirty L1 writeback
+        into the LLC copy, and is passed its own start cycle.  The run
+        stops before the first access that would start at or after
+        ``until``: the caller's next pending event, which must fire before
+        that access.  Stopping there is exact because nothing on a CPU
+        access path schedules an event.  The only callers of
+        ``EventQueue.schedule`` are the NIC, the driver, the traffic
+        sources, the partition tick and the fault co-runner, and each runs
+        outside a CPU access, so no event becomes due inside a run that
+        was not pending when it started.  ``paddr`` advances by one line
+        per access: the caller keeps a run inside one physical page.
+        """
+        l1 = self.l1
+        l1_sets = l1.sets
+        shift = l1._offset_bits
+        mask = l1._set_mask
+        step = l1.line_size
+        l1_latency = self.timing.l1_hit_latency
+        llc = self.llc
+        cpu_access = llc.cpu_access
+        llc_shift = llc.geometry.offset_bits
+        fill_flags = LINE_DIRTY if write else 0
+        done = hits = 0
+        while done < n_lines and now < until:
+            line = paddr >> shift
+            l1_set = l1_sets[line & mask]
+            if l1_set.touch(line, write):
+                hits += 1
+                now += l1_latency
+            else:
+                now += l1_latency + cpu_access(paddr, write, now)[1]
+                evicted = l1_set.insert(line, fill_flags)
+                if evicted is not None and evicted[1] & LINE_DIRTY:
+                    # Dirty L1 writeback lands in the (inclusive) LLC copy.
+                    victim = evicted[0]
+                    llc_set = llc.sets[llc.flat_set_of(victim << llc_shift)]
+                    llc_set.touch(victim, set_dirty=True)
+            paddr += step
+            done += 1
+        l1.stats.cpu_hits += hits
+        l1.stats.cpu_misses += done - hits
+        return done, now

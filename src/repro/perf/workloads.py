@@ -13,7 +13,10 @@ Three I/O-heavy workloads, matching the paper's mix:
 
 All memory goes through a :class:`~repro.perf.agent.MemAgent`, so LLC
 pressure, DDIO interference and the partitioning defense all show up in
-the measured service times and DRAM traffic.
+the measured service times and DRAM traffic.  The Nginx server issues its
+rx-buffer read, file body and response writes as agent runs (consecutive
+lines, stepped a page at a time); the file copy and TCP receive workloads
+make one-line accesses.
 """
 
 from __future__ import annotations
@@ -45,19 +48,25 @@ class FileCopyWorkload:
     """dd-style copy: disk DMA in, CPU read, CPU write to destination."""
 
     def __init__(self, machine, total_kb: int = 4096, chunk_kb: int = 4) -> None:
+        if total_kb <= 0 or chunk_kb <= 0:
+            raise ValueError(
+                f"total_kb and chunk_kb must be positive, got {total_kb}, {chunk_kb}"
+            )
         self.machine = machine
         self.agent = MemAgent(machine, "dd")
         self.total_kb = total_kb
         self.chunk_kb = chunk_kb
         self._line = machine.llc.geometry.line_size
         page_size = machine.physmem.page_size
-        chunk_pages = max(1, chunk_kb * 1024 // page_size)
+        # A chunk is exactly chunk_kb; its slot spans every page it touches.
+        self._chunk_lines = chunk_kb * 1024 // self._line
+        slot_pages = -(-chunk_kb * 1024 // page_size)
         # Source page-cache pages are refilled by disk DMA; destination is a
         # buffer the process owns.  Both recycled, like real page cache.
         self._src_pages = 32
-        self._src = self.agent.mmap(self._src_pages * chunk_pages)
-        self._dst = self.agent.mmap(self._src_pages * chunk_pages)
-        self._chunk_bytes = chunk_pages * page_size
+        self._src = self.agent.mmap(self._src_pages * slot_pages)
+        self._dst = self.agent.mmap(self._src_pages * slot_pages)
+        self._slot_bytes = slot_pages * page_size
 
     def run(self) -> WorkloadReport:
         """Copy the configured volume; returns traffic/miss accounting."""
@@ -67,11 +76,11 @@ class FileCopyWorkload:
         traffic0 = (llc.traffic.reads, llc.traffic.writes)
         start = machine.clock.now
         n_chunks = self.total_kb // self.chunk_kb
-        lines_per_chunk = self._chunk_bytes // self._line
+        lines_per_chunk = self._chunk_lines
         for chunk in range(n_chunks):
             slot = chunk % self._src_pages
-            src_base = self._src + slot * self._chunk_bytes
-            dst_base = self._dst + slot * self._chunk_bytes
+            src_base = self._src + slot * self._slot_bytes
+            dst_base = self._dst + slot * self._slot_bytes
             # Disk DMA fills the source pages (DDIO path when enabled).
             translate = self.agent.process.addrspace.translate
             for i in range(lines_per_chunk):
@@ -142,6 +151,9 @@ class NginxServer:
     it, picks a file by Zipf popularity, reads the file's lines from the
     page-cache region, touches per-connection state, and writes the
     response headers.  Service time is whatever the memory system makes it.
+    The rx-buffer read, the file body and the response writes are each one
+    agent run; the four state reads wrap at the end of the state region,
+    so they stay one-line reads.
     """
 
     def __init__(
@@ -160,10 +172,11 @@ class NginxServer:
         self.rng = rng or random.Random(5)
         self._line = machine.llc.geometry.line_size
         page_size = machine.physmem.page_size
+        # Each region maps every page its lines touch (ceiling division).
         self.file_lines = file_kb * 1024 // self._line
-        file_pages = max(1, file_kb * 1024 // page_size)
+        file_pages = max(1, -(-file_kb * 1024 // page_size))
         self._files = [self.agent.mmap(file_pages) for _ in range(n_files)]
-        self._state = self.agent.mmap(max(1, hot_state_kb * 1024 // page_size))
+        self._state = self.agent.mmap(max(1, -(-hot_state_kb * 1024 // page_size)))
         self._state_lines = hot_state_kb * 1024 // self._line
         self._resp = self.agent.mmap(4)
         # Zipf-ish popularity weights.
@@ -192,31 +205,29 @@ class NginxServer:
         start = machine.clock.now
         frame = request_frame or Frame(size=256, protocol="tcp")
         machine.nic.deliver(frame)
+        agent = self.agent
         # Read the request bytes out of the rx buffer: cache-resident under
         # DDIO, a trip to DRAM without it — the service-time half of DDIO's
         # benefit.
         ring = machine.ring
         rx_buffer = ring.buffers[(ring.head - 1) % len(ring.buffers)]
-        for i in range(frame.n_blocks(self._line)):
-            self.agent.read_kernel(rx_buffer.dma_paddr + i * self._line)
+        agent.read_kernel_run(rx_buffer.dma_paddr, frame.n_blocks(self._line))
         if self.randomizer is not None:
             pending = self.randomizer.drain_pending()
             if pending:
-                self.agent.compute(pending)
-        # Parse request: read connection state.
+                agent.compute(pending)
+        # Parse request: read connection state (one line at a time: the
+        # reads wrap at the end of the state region).
         for i in range(4):
-            self.agent.read(
+            agent.read(
                 self._state
                 + ((self.requests_served * 7 + i) % self._state_lines) * self._line
             )
         # Read the file body from page cache.
-        file_base = self._files[self._pick_file()]
-        for i in range(self.file_lines):
-            self.agent.read(file_base + i * self._line)
+        agent.read_run(self._files[self._pick_file()], self.file_lines)
         # Build response headers + log entry.
-        for i in range(8):
-            self.agent.write(self._resp + i * self._line)
-        self.agent.compute(400)
+        agent.write_run(self._resp, 8)
+        agent.compute(400)
         self.requests_served += 1
         return machine.clock.now - start
 
