@@ -76,12 +76,16 @@ class EvictionSet:
         self.set_index = set_index
         self.label = label
         self._telemetry = process.machine.telemetry
+        self._llc = process.machine.llc
+        #: Physical addresses in the stored order, translated on first use
+        #: (translation is deterministic and the pages stay mapped).
+        self._paddrs: np.ndarray | None = None
         #: ``(paddrs, flats, lines)`` in the stored order and reversed,
-        #: resolved on first use (translation is deterministic and the
-        #: pages stay mapped).  One probe traversal then costs one batched
-        #: machine call instead of one Python call per line, and the
-        #: complex hash runs once per set ever.
-        self._orders: tuple[tuple[np.ndarray, ...], ...] | None = None
+        #: under mapping epoch :attr:`_epoch`.  One probe traversal then
+        #: costs one batched machine call instead of one Python call per
+        #: line, and the index runs once per set and mapping epoch.
+        self._orders: tuple[tuple[np.ndarray, ...], ...] = ()
+        self._epoch = -1
         #: Zig-zag traversals so far.  Odd means the current order is the
         #: stored one reversed; sweep-level callers key their cached
         #: concatenated traversal arrays on this parity.
@@ -99,16 +103,20 @@ class EvictionSet:
         return list(self._addrs[::-1] if self.version & 1 else self._addrs)
 
     def _oriented(self, parity: int) -> tuple[np.ndarray, ...]:
-        """``(paddrs, flats, lines)`` in stored order (0) or reversed (1)."""
-        if self._orders is None:
-            translate = self.process.addrspace.translate
-            paddrs = np.fromiter(
-                (translate(addr) for addr in self._addrs),
-                np.int64,
-                count=len(self._addrs),
-            )
-            stored = (paddrs, *self.process.machine.llc.decompose_many(paddrs))
+        """``(paddrs, flats, lines)`` in stored order (0) or reversed (1),
+        decomposed under the current mapping epoch."""
+        llc = self._llc
+        if self._epoch != llc.mapping_epoch:
+            if self._paddrs is None:
+                translate = self.process.addrspace.translate
+                self._paddrs = np.fromiter(
+                    (translate(addr) for addr in self._addrs),
+                    np.int64,
+                    count=len(self._addrs),
+                )
+            stored = (self._paddrs, *llc.decompose_many(self._paddrs))
             self._orders = (stored, tuple(a[::-1] for a in stored))
+            self._epoch = llc.mapping_epoch
         return self._orders[parity]
 
     def probe_order(self) -> tuple[np.ndarray, ...]:

@@ -135,15 +135,20 @@ class SetSweep:
         )
         #: Accesses per probe: every set's lines, once each.
         self.n_accesses = int(lens.sum())
-        #: Concatenated ``(paddrs, flats, lines)`` per orientation
-        #: signature (each set's flip parity).  A sweep flips every set
-        #: together, so steady-state probing ping-pongs between two cached
-        #: signatures and never re-concatenates.
-        self._orders: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        #: Concatenated ``(paddrs, flats, lines)`` per mapping epoch and
+        #: orientation signature (each set's flip parity).  A sweep flips
+        #: every set together, so steady-state probing ping-pongs between
+        #: two cached signatures and re-concatenates only after a re-key.
+        self._orders: dict[
+            tuple[int, bytes], tuple[np.ndarray, np.ndarray, np.ndarray]
+        ] = {}
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Concatenated next-probe ``(paddrs, flats, lines)``, cached."""
-        key = bytes(es.version & 1 for es in self.sets)
+        key = (
+            self.process.machine.llc.mapping_epoch,
+            bytes(es.version & 1 for es in self.sets),
+        )
         cached = self._orders.get(key)
         if cached is None:
             parts = [es.probe_order() for es in self.sets]

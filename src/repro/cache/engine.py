@@ -647,6 +647,7 @@ class CacheEngine:
         ways: np.ndarray,
         set_dirty: bool = False,
         repeats: int = 1,
+        positions: np.ndarray | None = None,
     ) -> None:
         """Bulk MRU-stamp resident lines at ``(flats, ways)`` in order.
 
@@ -660,13 +661,27 @@ class CacheEngine:
         positions: each repetition overwrites every stamp the previous one
         left, so the tick advances by ``n * repeats`` and only the last
         repetition's stamps are written.
+
+        ``positions`` (ascending) places the touches inside a longer batch
+        whose other accesses run one at a time: line ``i`` is stamped
+        ``tick + 1 + positions[i]``, as if the batch ran in order, and the
+        tick does not move.  The caller then runs the other accesses,
+        passing over each run of positions stamped here with :meth:`skip`.
         """
         n = len(flats)
         if not n:
             return
         idx = flats * self.ways + ways
-        t0 = self._tick + 1 + n * (repeats - 1)
-        self._tick += n * repeats
-        self.stamps[idx] = np.arange(t0, t0 + n, dtype=np.int64)
+        if positions is not None:
+            self.stamps[idx] = positions + (self._tick + 1)
+        else:
+            t0 = self._tick + 1 + n * (repeats - 1)
+            self._tick += n * repeats
+            self.stamps[idx] = np.arange(t0, t0 + n, dtype=np.int64)
         if set_dirty:
             self.flags[idx] |= LINE_DIRTY
+
+    def skip(self, n: int) -> None:
+        """Advance the tick over ``n`` batch positions that
+        :meth:`touch_many` stamped ahead of it."""
+        self._tick += n

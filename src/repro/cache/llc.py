@@ -158,9 +158,9 @@ class SlicedLLC:
             )
         #: Epoch counter, bumped on every re-key.  Consumers holding
         #: decomposition caches key on it (the rx path's
-        #: :class:`~repro.nic.driver.RxTemplates`); the access paths below
-        #: do not need to (stale ``decomp`` hints are ignored when the
-        #: mapping is epochal).
+        #: :class:`~repro.nic.driver.RxTemplates`, eviction sets and
+        #: sweeps), so the ``decomp`` hints they pass the access paths
+        #: below are current when a call starts.
         self.mapping_epoch = 0
         self._epochal = self.mapping.epoch_period > 0
         self._epoch_period = self.mapping.epoch_period
@@ -232,10 +232,10 @@ class SlicedLLC:
 
         One numpy pass through the slice hash — no per-address Python.
         Under an epochal backend the per-line memo fronts the mapping:
-        batched callers cannot cache decompositions across calls there
-        (a re-key would stale them), so without the memo every probe
-        sweep would re-run the keyed permutation over the same handful
-        of lines thousands of times per epoch.
+        callers without a cached hint (and hint holders refreshing after
+        a re-key) decompose the same lines many times per epoch, and the
+        memo, reseeded with every resident line at each re-key, spares
+        them the keyed permutation.
         """
         paddrs = np.asarray(paddrs, dtype=np.int64)
         lines = paddrs >> self._offset_bits
@@ -369,73 +369,107 @@ class SlicedLLC:
         write: bool = False,
         now: int = 0,
         decomp: tuple[np.ndarray, np.ndarray] | None = None,
+        until: int | None = None,
+        extra: int = 0,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched :meth:`cpu_access`: returns ``(hits, latencies)`` arrays.
 
-        One engine call resolves every address; sets in which every
-        accessed line is already resident are touched with vectorised
-        kernels, and only sets containing at least one miss fall back to
-        the exact scalar path (in original access order, so per-set
-        behaviour — eviction decisions, LRU order, stats — is identical to
-        issuing the accesses one by one).  Accesses to different sets are
-        independent, so the cross-set reordering this implies is
-        unobservable; the differential harness pins that equivalence.
+        One engine lookup resolves the batch against the cache as it was
+        before it.  An access is a *sure hit* when its line was resident
+        and no earlier access of the batch misses in its set: a miss
+        changes only its own set (partition hooks included), so nothing
+        else can evict that line first.  Sure hits are stamped in one
+        vectorised step; every access from its set's first miss on
+        replays through the exact scalar path, in order.  Each access is
+        stamped ``tick + 1 + its position``, so tags, flags, stamps and
+        the tick end exactly as a loop of :meth:`cpu_access` leaves them.
+
+        With ``until`` (a cycle; the batch starts at ``now``) the call
+        runs only the longest prefix whose accesses all start before
+        ``until``, taking a sure hit to cost ``llc_hit_latency + extra``
+        and any other access ``llc_miss_latency + extra`` (``extra`` is
+        what the caller adds per access, e.g. timer overhead).  Under an
+        epochal backend it also stops where the mapping re-keys; the next
+        call re-keys at its first access.  The returned arrays cover the
+        prefix.  Without ``until`` the whole batch runs, and a batch a
+        re-key lands inside replays through :meth:`cpu_access`.
 
         ``decomp`` lets callers that replay a fixed address sequence
         (eviction-set sweeps) pass the cached ``(flats, lines)``
-        decomposition instead of re-hashing every call.  Under an
-        epochal backend the hint is ignored — a cached decomposition
-        may predate a re-key — and a batch a re-key would land inside
-        is replayed through the exact scalar path, so the re-key fires
-        at the precise access it would in a sequential loop.
+        decomposition instead of re-hashing every call.  It must be
+        current when the call starts; it is dropped if the call re-keys
+        at its start.
         """
         paddrs = np.asarray(paddrs, dtype=np.int64)
         n = len(paddrs)
-        hit_latency = self.timing.llc_hit_latency
         if n == 0:
             return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
+        window = 0 if until is None else until - now
+        if until is not None and window <= 0:
+            raise ValueError(f"until ({until}) must lie after now ({now})")
+        timing = self.timing
+        hit_latency = timing.llc_hit_latency
         epochal = self._epochal
+        m = n
         if epochal:
-            decomp = None
             if self._access_count >= self._epoch_period:
                 self._rekey(now)
                 self._access_count = 0
-            if n > self._epoch_period - self._access_count:
-                # Mid-batch re-key: interleaving is observable, go scalar.
+                decomp = None
+            m = self._epoch_period - self._access_count
+            if until is None and n > m:
+                # A re-key lands inside a batch that must run whole.
                 hits = np.empty(n, dtype=bool)
                 lats = np.empty(n, dtype=np.int64)
                 for i, paddr in enumerate(paddrs.tolist()):
                     hits[i], lats[i] = self.cpu_access(paddr, write=write, now=now)
                 return hits, lats
-            # No re-key can land inside this batch.  The all-hit and
-            # clean-set paths below count their accesses explicitly; the
-            # miss-set fallback counts through cpu_access itself.
-        flats, lines = decomp if decomp is not None else self.decompose_many(paddrs)
-        hit, ways = self.engine.lookup_many(flats, lines)
+            m = min(n, m)
+        miss_cost = timing.llc_miss_latency + extra
+        bounded = until is not None and (m - 1) * miss_cost >= window
+        if bounded:
+            # No access past this many can start before ``until``.
+            m = min(m, -(-window // (hit_latency + extra)))
+        if decomp is None:
+            flats, lines = self.decompose_many(paddrs[:m])
+        else:
+            flats, lines = decomp[0][:m], decomp[1][:m]
+        engine = self.engine
+        hit, ways = engine.lookup_many(flats, lines)
         if hit.all():
+            # Every access is a sure hit, and ``m`` already bounds them.
             if epochal:
-                self._access_count += n
-            self.engine.touch_many(flats, ways, set_dirty=write)
-            self.stats.cpu_hits += n
-            return (
-                np.ones(n, dtype=bool),
-                np.full(n, hit_latency, dtype=np.int64),
-            )
-        hits = np.empty(n, dtype=bool)
-        lats = np.empty(n, dtype=np.int64)
-        miss_sets = np.unique(flats[~hit])
-        scalar = np.isin(flats, miss_sets)
-        for i in np.flatnonzero(scalar):
-            hits[i], lats[i] = self.cpu_access(int(paddrs[i]), write=write, now=now)
-        clean = ~scalar
-        n_clean = int(clean.sum())
-        if n_clean:
+                self._access_count += m
+            engine.touch_many(flats, ways, set_dirty=write)
+            self.stats.cpu_hits += m
+            return np.ones(m, dtype=bool), np.full(m, hit_latency, dtype=np.int64)
+        # Replay every access from its set's first miss on.
+        misses = np.flatnonzero(~hit)
+        miss_sets, first = np.unique(flats[misses], return_index=True)
+        j = np.minimum(np.searchsorted(miss_sets, flats), len(miss_sets) - 1)
+        replay = (miss_sets[j] == flats) & (np.arange(m) >= misses[first][j])
+        k = m
+        if bounded:
+            costs = np.where(replay, miss_cost, hit_latency + extra)
+            k = int(np.searchsorted(np.cumsum(costs) - costs, window))
+            replay = replay[:k]
+        replays = np.flatnonzero(replay)
+        n_sure = k - len(replays)
+        hits = np.ones(k, dtype=bool)
+        lats = np.full(k, hit_latency, dtype=np.int64)
+        if n_sure:
+            sure = np.flatnonzero(~replay)
             if epochal:
-                self._access_count += n_clean
-            self.engine.touch_many(flats[clean], ways[clean], set_dirty=write)
-            self.stats.cpu_hits += n_clean
-            hits[clean] = True
-            lats[clean] = hit_latency
+                self._access_count += n_sure
+            engine.touch_many(flats[sure], ways[sure], set_dirty=write, positions=sure)
+            self.stats.cpu_hits += n_sure
+        done = 0
+        for i, paddr in zip(replays.tolist(), paddrs[replays].tolist()):
+            if i > done:
+                engine.skip(i - done)
+            hits[i], lats[i] = self.cpu_access(paddr, write=write, now=now)
+            done = i + 1
+        engine.skip(k - done)
         return hits, lats
 
     def repeat_hits(
@@ -455,7 +489,8 @@ class SlicedLLC:
         ones may visit the same lines in any order (a zig-zag sweep
         alternates).  Raises if a line is not resident or a re-key would
         fall inside the repetitions, the two things that would make one
-        of them miss.
+        of them miss.  So the call never re-keys, and a ``decomp`` hint
+        current at its start holds throughout.
         """
         paddrs = np.asarray(paddrs, dtype=np.int64)
         n = len(paddrs) * repeats
@@ -464,8 +499,6 @@ class SlicedLLC:
                 f"{n} repeated accesses cross the re-key "
                 f"{self.accesses_until_rekey()} accesses ahead"
             )
-        if self._epochal:
-            decomp = None  # may predate a re-key; recompute below
         flats, lines = decomp if decomp is not None else self.decompose_many(paddrs)
         hit, ways = self.engine.lookup_many(flats, lines)
         if not hit.all():
@@ -559,7 +592,8 @@ class SlicedLLC:
         so in practice the fallback only triggers under the defense.
 
         ``decomp`` optionally carries the caller's cached ``(flats,
-        lines)`` decomposition of ``paddrs``.
+        lines)`` decomposition of ``paddrs``, current when the call
+        starts; it is dropped if the call re-keys at its start.
         """
         n = len(paddrs)
         if n == 0:
@@ -569,10 +603,10 @@ class SlicedLLC:
                 self.io_write(int(paddr), now=now)
             return
         if self._epochal:
-            decomp = None  # may predate a re-key; recompute below
             if self._access_count >= self._epoch_period:
                 self._rekey(now)
                 self._access_count = 0
+                decomp = None
             if n > self._epoch_period - self._access_count:
                 # Mid-batch re-key: exact scalar ordering required.
                 for paddr in paddrs:

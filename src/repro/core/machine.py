@@ -20,6 +20,7 @@ Typical setup::
 from __future__ import annotations
 
 import random
+import sys
 
 import numpy as np
 
@@ -88,10 +89,9 @@ class Process:
 
         Semantically one :meth:`access` (or :meth:`timed_access`) per
         address, in order — pending events still fire at the correct
-        simulated instants — but issued as engine-batched chunks whenever
-        no event can interrupt the chunk (see
-        :meth:`Machine.cpu_access_many`).  Returns the per-access latency
-        array the sequential loop would have produced.
+        simulated instants — but issued as one engine-batched call per gap
+        between events (see :meth:`Machine.cpu_access_many`).  Returns the
+        per-access latency array the sequential loop would have produced.
         """
         translate = self.addrspace.translate
         paddrs = np.fromiter(
@@ -260,22 +260,23 @@ class Machine:
         """Issue many CPU accesses with per-access event/clock semantics.
 
         Equivalent to a loop of ``Process.access`` / ``Process.timed_access``
-        over physical addresses, but the loop body is replaced by batched
-        :meth:`SlicedLLC.access_many` chunks wherever that is provably
-        unobservable:
+        over physical addresses.  Between events it makes one
+        :meth:`SlicedLLC.access_many` call, bounded by the next pending
+        event (``until``): every access it runs starts before that event,
+        which then fires just before the first access that starts at or
+        after its time, as in the loop.  ``until`` is at least one cycle
+        ahead, so the access after ``run_due`` always runs, also when an
+        event's action moved the clock past another pending event.
 
-        * a chunk is only batched when the earliest pending event lies
-          beyond a worst-case (all-miss) bound on the chunk's duration, so
-          every event still fires before exactly the access it would have
-          preceded in the sequential loop;
-        * an active partition falls back to the scalar path (its presence
-          clocks read the advancing ``clock.now`` on every fill);
-        * timed accesses under an active fault plan fall back so
-          measurement jitter draws stay per-access and bit-identical.
+        The per-access loop remains for two cases: an active partition
+        (its presence clocks read the advancing ``clock.now`` on every
+        fill), and timed accesses under an active fault plan (measurement
+        jitter draws stay per access).
 
-        ``decomp`` optionally carries the caller's cached ``(flats,
-        lines)`` decomposition of ``paddrs`` (see
-        :meth:`SlicedLLC.access_many`).
+        ``decomp`` optionally carries the caller's ``(flats, lines)``
+        decomposition of ``paddrs``, current when the call starts (see
+        :meth:`SlicedLLC.access_many`).  It is dropped for the rest of the
+        batch once the mapping epoch moves: an event's access can re-key.
 
         Returns the int64 latency array the sequential loop would return.
         """
@@ -285,44 +286,40 @@ class Machine:
         overhead = llc.timing.measure_overhead if timed else 0
         n = len(paddrs)
         out = np.empty(n, dtype=np.int64)
-        scalar_only = llc.partition is not None or (timed and self.faults is not None)
-        worst = llc.timing.llc_miss_latency + overhead
         faults = self.faults
-        i = 0
-        while i < n:
-            events.run_due(clock.now)
-            m = 0
-            if not scalar_only:
-                nxt = events.peek_time()
-                if nxt is None:
-                    m = n - i
-                else:
-                    m = min(n - i, (nxt - clock.now) // worst)
-            if m <= 0:
-                # Event imminent (or exact per-access semantics required):
-                # one sequential access, then re-evaluate.
-                lat = llc.cpu_access(int(paddrs[i]), write=write, now=clock.now)[1]
+        if llc.partition is not None or (timed and faults is not None):
+            for i, paddr in enumerate(paddrs.tolist()):
+                events.run_due(clock.now)
+                lat = llc.cpu_access(paddr, write=write, now=clock.now)[1]
                 if timed:
                     lat += overhead
                     if faults is not None:
                         lat += faults.probe_jitter()
                 clock.advance(lat)
                 out[i] = lat
-                i += 1
-                continue
-            chunk_decomp = (
-                (decomp[0][i : i + m], decomp[1][i : i + m])
-                if decomp is not None
-                else None
-            )
+            return out
+        epoch = llc.mapping_epoch
+        i = 0
+        while i < n:
+            events.run_due(clock.now)
+            nxt = events.peek_time()
+            until = sys.maxsize if nxt is None else max(nxt, clock.now + 1)
+            if decomp is not None and llc.mapping_epoch != epoch:
+                decomp = None
             _hits, lats = llc.access_many(
-                paddrs[i : i + m], write=write, now=clock.now, decomp=chunk_decomp
+                paddrs[i:],
+                write=write,
+                now=clock.now,
+                decomp=None if decomp is None else (decomp[0][i:], decomp[1][i:]),
+                until=until,
+                extra=overhead,
             )
+            k = len(lats)
             if timed:
-                lats = lats + overhead
-            out[i : i + m] = lats
+                lats += overhead
+            out[i : i + k] = lats
             clock.advance(int(lats.sum()))
-            i += m
+            i += k
         return out
 
     # ------------------------------------------------------------------

@@ -389,10 +389,14 @@ class IgbDriver:
         )
         if deferred is not None:
 
-            def touch_payload(
-                p=paddrs[deferred], d=(flats[deferred], lines[deferred])
-            ) -> None:
-                llc.access_many(p, now=machine.clock.now, decomp=d)
+            def touch_payload() -> None:
+                # Decompose when the touch runs: a re-key may land first.
+                paddrs, flats, lines = self.templates.decomp(base)
+                llc.access_many(
+                    paddrs[deferred],
+                    now=machine.clock.now,
+                    decomp=(flats[deferred], lines[deferred]),
+                )
 
             machine.events.schedule(
                 now + llc.timing.payload_touch_delay, touch_payload, label="payload"

@@ -13,7 +13,8 @@ Pins the contracts the LLC integration relies on:
   it replaced leaves, evict-hook order included;
 * batched ``access_many`` / ``io_write_many`` stay equivalent to scalar
   loops under keyed and skewed backends (including batches a re-key
-  lands inside);
+  lands inside), and ``access_many`` leaves the loop's raw engine state,
+  stamps and tick included, whole or cut at ``until``;
 * under a skewed backend a line only ever occupies its partition's ways;
 * spec parsing and the CLI surface (``backends list`` / ``--backend``).
 """
@@ -340,6 +341,40 @@ def _state(llc: SlicedLLC):
     ]
 
 
+#: Backends whose batched accesses must leave the loop's raw engine state;
+#: epoch 97 re-keys inside the random streams below.
+RAW_SPECS = ["modulo", "keyed:epoch=0", "keyed:epoch=97", "skewed:partitions=2"]
+
+
+def _mixed_batch(rng: np.random.Generator, llc: SlicedLLC) -> np.ndarray:
+    """10-60 accesses: about half to resident lines (so most sets hold
+    both sure hits and misses), the rest to random lines, with repeats."""
+    resident = llc.engine.tags[llc.engine.tags != -1]
+    n = int(rng.integers(10, 61))
+    lines = rng.integers(0, 600, size=n)
+    if len(resident):
+        old = rng.random(n) < 0.5
+        lines[old] = rng.choice(resident, size=int(old.sum()))
+    return (lines << GEOMETRY.offset_bits).astype(np.int64)
+
+
+def _raw_state(llc: SlicedLLC) -> dict:
+    engine = llc.engine
+    return {
+        "tags": engine.tags.tobytes(),
+        "flags": engine.flags.tobytes(),
+        "stamps": engine.stamps.tobytes(),
+        "tick": engine._tick,
+        "dir": dict(engine._dir),
+        "size": list(engine._size),
+        "n_io": list(engine._n_io),
+        "stats": llc.stats.snapshot(),
+        "traffic": (llc.traffic.reads, llc.traffic.writes),
+        "mapping": llc.mapping.stats.snapshot(),
+        "epoch": (llc.mapping_epoch, llc._access_count),
+    }
+
+
 class TestBatchedScalarEquivalence:
     @pytest.mark.parametrize(
         "spec", ["keyed:epoch=0", "keyed:epoch=100", "skewed", "skewed:partitions=3"]
@@ -365,6 +400,57 @@ class TestBatchedScalarEquivalence:
         _apply_batched(b, ops, chunk=400)
         assert a.mapping_epoch == b.mapping_epoch > 0
         assert _state(a) == _state(b)
+
+    @pytest.mark.parametrize("spec", RAW_SPECS)
+    def test_raw_state_equals_the_loop(self, spec):
+        """Random batches, each mixing resident lines, new lines and
+        repeats, through ``access_many`` and through a ``cpu_access``
+        loop: the raw engine arrays (stamps included), the tick, the
+        directory and every counter must match after each batch, also
+        across re-keys."""
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            batched, loop = _llc(spec, seed=seed), _llc(spec, seed=seed)
+            for _ in range(8):
+                paddrs = _mixed_batch(rng, batched)
+                write = bool(rng.integers(0, 2))
+                hits, lats = batched.access_many(paddrs, write=write)
+                ref = [loop.cpu_access(p, write=write) for p in paddrs.tolist()]
+                assert list(zip(hits.tolist(), lats.tolist())) == ref
+                assert _raw_state(batched) == _raw_state(loop), f"seed {seed}"
+            assert loop.mapping.epoch_period == 0 or loop.mapping_epoch > 0
+
+    @pytest.mark.parametrize("spec", RAW_SPECS)
+    def test_until_prefix_equals_the_loop(self, spec):
+        """With ``until``, ``access_many`` runs a prefix in which every
+        access starts before ``until`` (latency plus ``extra`` per
+        access), at least one access long; the rest of the batch goes
+        to the next call, as ``Machine.cpu_access_many`` issues it."""
+        timing = _llc(spec).timing
+        for seed in range(12):
+            rng = np.random.default_rng(100 + seed)
+            batched, loop = _llc(spec, seed=seed), _llc(spec, seed=seed)
+            cut = 0
+            for _ in range(8):
+                paddrs = _mixed_batch(rng, batched)
+                extra = int(rng.integers(0, 2)) * timing.measure_overhead
+                done = 0
+                while done < len(paddrs):
+                    window = int(rng.integers(1, 12 * timing.llc_miss_latency))
+                    hits, lats = batched.access_many(
+                        paddrs[done:], now=1000, until=1000 + window, extra=extra
+                    )
+                    k = len(lats)
+                    assert k >= 1
+                    starts = np.cumsum(lats + extra) - (lats + extra)
+                    assert starts[-1] < window
+                    ref = [loop.cpu_access(p) for p in paddrs[done : done + k].tolist()]
+                    assert list(zip(hits.tolist(), lats.tolist())) == ref
+                    assert _raw_state(batched) == _raw_state(loop), f"seed {seed}"
+                    cut += done + k < len(paddrs)
+                    done += k
+            assert cut > 0
+            assert batched.mapping_epoch == loop.mapping_epoch
 
 
 class TestSkewedPartitions:

@@ -9,7 +9,7 @@ with and without the partition defense, with DDIO on and off.
 
 A second family of traces exercises :meth:`SlicedLLC.access_many`
 (the batched kernel PRIME+PROBE sweeps use) against the legacy scalar
-loop, including the miss-set fallback path.
+loop, including the replay of every access from a set's first miss on.
 """
 
 import random
@@ -114,7 +114,7 @@ def test_batched_access_equivalence(ddio_enabled):
     rng = random.Random(29 + ddio_enabled)
     n_lines = GEOMETRY.total_sets * 3
     for round_ in range(60):
-        # Some DMA between batches so batches hit the miss-set fallback.
+        # Some DMA between batches so batches replay from a set's first miss.
         for _ in range(rng.randrange(0, 30)):
             paddr = rng.randrange(n_lines) * 64
             new.io_write(paddr)
