@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.attack.evictionset import EvictionSet
+from repro.attack.evictionset import EvictionSet, prime_sets
 from repro.attack.primeprobe import SetSweep
 from repro.telemetry.quality import quality_registry, record_chase
 
@@ -27,6 +27,12 @@ class BufferMonitor:
     block in the *first* half-page; ``alt_blocks`` covers the second half
     (offset +2048), which the driver switches to after handing a large
     packet's half to the stack.
+
+    Probes go out as batched :class:`SetSweep` calls, built once per
+    monitor.  A prime is one untimed traversal of :meth:`sets`
+    (:func:`~repro.attack.evictionset.prime_sets`), concatenated on each
+    call: experiments build fresh monitors for every trial's rig, so a
+    cached prime traversal would rarely be reused.
     """
 
     name: str
@@ -49,11 +55,14 @@ class BufferMonitor:
         if 0 not in self.blocks:
             raise ValueError("BufferMonitor requires at least the block-0 set")
 
+    def sets(self) -> list[EvictionSet]:
+        """Every set of the buffer, ``blocks`` then ``alt_blocks``, in
+        dict order: the order a prime traverses them."""
+        return [*self.blocks.values(), *self.alt_blocks.values()]
+
     def prime(self) -> None:
-        for es in self.blocks.values():
-            es.prime()
-        for es in self.alt_blocks.values():
-            es.prime()
+        """Fill every set of the buffer in one untimed traversal."""
+        prime_sets(self.blocks[0].process, self.sets())
 
     def clock_sweep(self) -> SetSweep:
         """The clock probe: block 0 of both halves as one sweep (cached)."""
@@ -147,8 +156,11 @@ class PacketChaser:
         self.supervisor = supervisor
 
     def prime_all(self) -> None:
-        for monitor in self.buffers:
-            monitor.prime()
+        """Prime every buffer's sets in ring order, as one traversal.  A
+        set that two buffers share is traversed once for each of them."""
+        prime_sets(
+            self.process, [es for monitor in self.buffers for es in monitor.sets()]
+        )
 
     def wait_for_fill(
         self, monitor: BufferMonitor, timeout_cycles: int, poll_wait: int = 0

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.analysis.capacity import ChannelReport, evaluate_channel
 from repro.attack.chase import PacketChaser
-from repro.attack.evictionset import EvictionSet
+from repro.attack.evictionset import EvictionSet, prime_sets
 from repro.attack.primeprobe import SetSweep
 from repro.net.traffic import PatternStream
 
@@ -172,12 +172,14 @@ class CovertReceiver:
             for stream in self.streams:
                 supervisor.track(*stream.sets())
 
+    def _sets(self) -> list[EvictionSet]:
+        """Every stream's clock/b2/b3 sets, in stream order."""
+        return [es for stream in self.streams for es in stream.sets()]
+
     def _sweep(self) -> SetSweep:
         """One batched probe covering every stream's clock/b2/b3 sets, in
         the exact per-stream order the scalar loop probed them."""
-        return SetSweep(
-            self.process, [es for stream in self.streams for es in stream.sets()]
-        )
+        return SetSweep(self.process, self._sets())
 
     def listen(
         self,
@@ -197,9 +199,7 @@ class CovertReceiver:
         ``tests/test_analysis_equivalence.py``.
         """
         machine = self.process.machine
-        for stream in self.streams:
-            for es in stream.sets():
-                es.prime()
+        prime_sets(self.process, self._sets())
         sweep = self._sweep()
         # Per-stream open windows: remaining samples, accumulated activity.
         n_streams = len(self.streams)
@@ -257,9 +257,7 @@ class CovertReceiver:
         countdown[:] = 0
         b2_seen[:] = False
         b3_seen[:] = False
-        for stream in self.streams:
-            for es in stream.sets():
-                es.prime()
+        prime_sets(self.process, self._sets())
 
 
 def run_covert_channel(

@@ -124,13 +124,19 @@ class EvictionSet:
         the reverse of the last traversal."""
         return self._oriented(~self.version & 1)
 
+    def prime_order(self) -> tuple[np.ndarray, ...]:
+        """``(paddrs, flats, lines)`` in the order a prime uses: the
+        current orientation, the one the last traversal went in."""
+        return self._oriented(self.version & 1)
+
     def flip(self, times: int = 1) -> None:
         """Record ``times`` zig-zag traversals (O(1): a parity change)."""
         self.version += times
 
     def prime(self) -> None:
-        """Fill the cache set with our lines (untimed traversal)."""
-        paddrs, flats, lines = self._oriented(self.version & 1)
+        """Fill the cache set with our lines (untimed traversal).  A
+        multi-set prime goes through :func:`prime_sets` instead."""
+        paddrs, flats, lines = self.prime_order()
         self.process.machine.cpu_access_many(paddrs, decomp=(flats, lines))
 
     def probe(self) -> int:
@@ -158,6 +164,22 @@ class EvictionSet:
             if registry is not None:
                 record_probe_margins(registry, lats, self.threshold.threshold)
         return misses
+
+
+def prime_sets(process, sets) -> None:
+    """Prime every set of ``sets``, in order, as one untimed traversal.
+
+    The untimed counterpart of a :class:`~repro.attack.primeprobe.SetSweep`:
+    the concatenation of each set's :meth:`EvictionSet.prime_order` goes
+    out as one :meth:`Machine.cpu_access_many` call.  Back-to-back
+    untimed traversals leave no clock gap between them, and the batched
+    call equals the per-access loop, so this is exactly ``for es in
+    sets: es.prime()``.  A set listed twice is traversed twice.  Like
+    :meth:`EvictionSet.prime`, it flips no set and records no telemetry.
+    """
+    parts = [es.prime_order() for es in sets]
+    paddrs, flats, lines = (np.concatenate(column) for column in zip(*parts))
+    process.machine.cpu_access_many(paddrs, decomp=(flats, lines))
 
 
 @dataclass

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.attack.evictionset import EvictionSet
+from repro.attack.evictionset import EvictionSet, prime_sets
 from repro.telemetry.quality import (
     ProbeSweepAccumulator,
     quality_registry,
@@ -112,6 +112,11 @@ class SetSweep:
     order-independent sums of the same integer latencies, so registry
     state is bit-identical).  Thresholds are read from the sets at
     construction; after a recalibration the caller builds a new sweep.
+
+    Its untimed counterpart is
+    :func:`~repro.attack.evictionset.prime_sets`: every multi-set prime
+    is one machine call over the same kind of concatenation, in each
+    set's current orientation, with no flip and no telemetry.
     """
 
     def __init__(self, process, sets: list[EvictionSet]) -> None:
@@ -277,7 +282,7 @@ class ProbeMonitor:
         self.prime()
 
     def prime(self) -> None:
-        """Initial fill of every monitored set."""
+        """Initial fill of every monitored set, in one untimed traversal."""
         tele = self.process.machine.telemetry
         if tele is not None and tele.tracer.enabled:
             with tele.tracer.span(
@@ -288,11 +293,9 @@ class ProbeMonitor:
                     "sim_now": self.process.machine.clock.now,
                 },
             ):
-                for es in self.sets:
-                    es.prime()
+                prime_sets(self.process, self.sets)
             return
-        for es in self.sets:
-            es.prime()
+        prime_sets(self.process, self.sets)
 
     def _probe_row(self) -> np.ndarray:
         """One sweep's per-set miss counts; its quality goes to the batcher."""

@@ -271,6 +271,23 @@ class SlicedLLC:
             return sys.maxsize
         return max(0, self._epoch_period - self._access_count)
 
+    def memoize_many(self, paddrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`decompose_many` for a batch the memo mostly lacks: one
+        ``flats_of_many`` call, then one memo update with every line.
+
+        The memo only ever holds the current mapping's flats, so this
+        leaves it holding exactly what the per-line lookups of
+        :meth:`decompose_many` would under an epochal backend.  The
+        re-key seeds the memo with every resident line this way, and the
+        rx templates (:class:`~repro.nic.driver.RxTemplates`) refresh
+        through it after each re-key.
+        """
+        paddrs = np.asarray(paddrs, dtype=np.int64)
+        lines = paddrs >> self._offset_bits
+        flats = self.mapping.flats_of_many(paddrs, lines)
+        self._flat_memo.update(zip(lines.tolist(), flats.tolist()))
+        return flats, lines
+
     def _rekey(self, now: int) -> None:
         """Install fresh index keys and remap every resident line.
 
@@ -302,9 +319,8 @@ class SlicedLLC:
         self.mapping_epoch += 1
         # One vectorised pass maps every resident line under the fresh
         # keys and seeds the memo wholesale.
-        flats = self.mapping.flats_of_many(lines << self._offset_bits, lines)
         self._flat_memo.clear()
-        self._flat_memo.update(zip(lines.tolist(), flats.tolist()))
+        flats, _ = self.memoize_many(lines << self._offset_bits)
         dropped = engine.reload(flats, lines, flags)
         n_dirty = int((flags[dropped] & LINE_DIRTY != 0).sum())
         self.stats.invalidations += len(dropped)

@@ -94,7 +94,7 @@ class RxTemplates:
     Every decomposition holds under one index mapping, so all of them are
     tagged with the LLC's ``mapping_epoch``: on the first use after a
     re-key they are recomputed together, in one
-    :meth:`~repro.cache.llc.SlicedLLC.decompose_many` call.
+    :meth:`~repro.cache.llc.SlicedLLC.memoize_many` call.
     """
 
     _MAX_ENTRIES = 4096
@@ -115,7 +115,7 @@ class RxTemplates:
         entries = list(self._cache.items())
         n_skb = len(self._skb_paddrs)
         width = len(self.offsets)
-        flats, lines = self.llc.decompose_many(
+        flats, lines = self.llc.memoize_many(
             np.concatenate([self._skb_paddrs, *(p for _b, (p, _f, _l) in entries)])
         )
         self._skb = flats[:n_skb], lines[:n_skb]

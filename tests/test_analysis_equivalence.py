@@ -222,6 +222,9 @@ class _StubMachine:
     def idle(self, cycles):
         self.clock.now += cycles
 
+    def cpu_access_many(self, paddrs, decomp=None):
+        pass
+
 
 class _StubProcess:
     def __init__(self):
@@ -231,6 +234,10 @@ class _StubProcess:
 class _StubSet:
     def prime(self):
         pass
+
+    def prime_order(self):
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
 
 
 class _StubSweep:

@@ -255,6 +255,77 @@ def test_templates_follow_the_keyed_epoch():
     assert llc.mapping_epoch == 4
 
 
+def _reference_refresh(templates) -> None:
+    """``RxTemplates._refresh`` before ``SlicedLLC.memoize_many``: the same
+    concatenation through ``decompose_many``, whose per-line memo loop
+    fills the memo."""
+    entries = list(templates._cache.items())
+    n_skb = len(templates._skb_paddrs)
+    width = len(templates.offsets)
+    flats, lines = templates.llc.decompose_many(
+        np.concatenate([templates._skb_paddrs, *(p for _b, (p, _f, _l) in entries)])
+    )
+    templates._skb = flats[:n_skb], lines[:n_skb]
+    for i, (base, (paddrs, _f, _l)) in enumerate(entries):
+        lo = n_skb + i * width
+        templates._cache[base] = (paddrs, flats[lo : lo + width], lines[lo : lo + width])
+    templates._epoch = templates.llc.mapping_epoch
+
+
+def test_template_refresh_matches_the_decompose_loop():
+    """After every re-key of a keyed machine receiving bursts, the refresh
+    leaves the buffer templates, the skb decomposition and the LLC's
+    flat-set memo exactly as the reference refresh does from the same
+    state.  Each refresh runs both from one snapshot; the run goes on
+    with the reference's result."""
+    m = build_machine(False, True, "off", False, False, backend="keyed:epoch=700")
+    templates = m.driver.templates
+    memo = m.llc._flat_memo
+    refreshed: list[int] = []
+
+    def state(t):
+        cache = [(base, *entry) for base, entry in t._cache.items()]
+        return dict(memo), cache, t._skb, t._epoch
+
+    def same(a, b):
+        if isinstance(a, (list, tuple)):
+            return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+        if isinstance(a, np.ndarray):
+            return a.dtype == b.dtype and np.array_equal(a, b)
+        return a == b
+
+    class CheckedTemplates(type(templates)):
+        __slots__ = ()
+
+        def _refresh(self):
+            before = dict(memo), dict(self._cache), self._skb, self._epoch
+            super()._refresh()
+            grouped = state(self)
+            memo.clear()
+            memo.update(before[0])
+            self._cache.clear()
+            self._cache.update(before[1])
+            self._skb, self._epoch = before[2], before[3]
+            _reference_refresh(self)
+            assert same(grouped, state(self))
+            refreshed.append(len(self._cache))
+
+    templates.__class__ = CheckedTemplates
+    bursts = []
+    rx_burst = m.llc.rx_burst
+
+    def counting_rx_burst(*args):
+        bursts.append(m.llc.mapping_epoch)
+        return rx_burst(*args)
+
+    m.llc.rx_burst = counting_rx_burst
+    run_workload(m, seed=17, n_frames=1000)
+    # Many re-keys, each refreshing a populated template cache, with
+    # bursts delivered in most epochs.
+    assert len(refreshed) >= 20 and min(refreshed) > 0
+    assert len(set(bursts)) >= len(refreshed) // 2
+
+
 def test_burst_window_respects_other_events():
     """A foreign event bounds the drain window: it must fire at its exact
     time relative to frame deliveries, as in the scalar path."""
