@@ -11,7 +11,7 @@ Measures, on the bench-scale machine (256 monitored sets x 12 ways):
   datapath (burst drains handing whole frame groups to one vectorised
   engine call) vs the frozen scalar one (:mod:`repro.nic.legacy`),
   delivering an identical MTU-heavy frame mix through the event queue;
-  ``rx_direct_*`` isolates the per-frame ``nic.deliver`` template path;
+  ``rx_direct_*`` isolates the per-frame ``nic.deliver`` path;
 * ``machine_init_ms`` / ``legacy_llc_init_ms`` — LLC construction cost
   (the engine allocates three numpy arrays; the legacy model 16384 dicts);
 * ``backend_overhead``    — the same batched probe sweep run under each
@@ -211,8 +211,8 @@ def bench_rx(n_frames: int) -> dict:
     which is where the cross-frame burst batching operates (a drained
     window hands ``Nic.deliver_burst`` whole frame groups).  The
     ``rx_direct_*`` secondaries push frames one at a time through
-    ``nic.deliver``, isolating the per-frame template path where
-    cross-frame vectorisation cannot apply.
+    ``nic.deliver``, isolating the per-frame path, a scalar loop like
+    the frozen one, where cross-frame vectorisation cannot apply.
     """
     legacy_direct_s = _bench_rx_direct(True, n_frames)
     batched_direct_s = _bench_rx_direct(False, n_frames)

@@ -349,108 +349,6 @@ class CacheEngine:
         eq = rows == lines[:, None]
         return eq.any(axis=1), eq.argmax(axis=1)
 
-    def io_fill_many(
-        self, flats: np.ndarray, lines: np.ndarray, io_cap: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vanilla-DDIO bulk fill of one line per set (``flats`` unique).
-
-        Performs, for every ``(flat, line)`` pair, exactly what the scalar
-        DDIO sequence does: a resident line is converted to a dirty I/O
-        line and stamped MRU (``mark_io``); a non-resident line is inserted
-        as ``LINE_IO | LINE_DIRTY``, evicting the set's LRU I/O line when
-        the set already holds ``io_cap`` I/O lines, or the overall LRU line
-        when the set is full.  Stamps are assigned in array order from the
-        shared tick counter — each access consumes one tick and evictions
-        consume none, so the batch is tick-for-tick identical to the
-        sequential loop.
-
-        ``flats`` must not contain duplicates: victim selection reads a
-        snapshot of the rows, so two fills into the same set would not see
-        each other.  Callers (``SlicedLLC.io_write_many``) fall back to the
-        scalar path in that case.
-
-        Returns ``(resident, evicted_lines, evicted_flags)``: a bool mask
-        of accesses that were mark-io hits, and per-access evicted line
-        address (``-1`` where nothing was evicted) with its flags.
-        """
-        k = len(flats)
-        empty = np.zeros(0, dtype=np.int64)
-        if not k:
-            return np.zeros(0, dtype=bool), empty, empty
-        ways = self.ways
-        tag_rows = self.tags2[flats]
-        flag_rows = self.flags2[flats]
-        stamp_rows = self.stamps2[flats]
-        eq = tag_rows == lines[:, None]
-        resident = eq.any(axis=1)
-        res_way = eq.argmax(axis=1)
-        io_rows = (flag_rows & LINE_IO) != 0
-        occupied = tag_rows != -1
-        big = np.iinfo(np.int64).max
-        io_counts = io_rows.sum(axis=1)
-        # evict_lru_of(io=True) is a no-op on a set with no I/O lines, so
-        # "at cap" only triggers an eviction when there is one to evict.
-        at_cap = (io_counts >= io_cap) & (io_counts > 0)
-        sizes = occupied.sum(axis=1)
-        full = sizes >= ways
-        victim_io = np.where(io_rows, stamp_rows, big).argmin(axis=1)
-        victim_any = np.where(occupied, stamp_rows, big).argmin(axis=1)
-        # First free way: empty slots hold -1, the row minimum.  When an
-        # io-cap eviction happens in a non-full set, the scalar insert scans
-        # for the first empty slot — which may precede the victim's.
-        free_way = tag_rows.argmin(axis=1)
-        way = np.where(
-            resident,
-            res_way,
-            np.where(
-                at_cap,
-                np.where(full, victim_io, np.minimum(free_way, victim_io)),
-                np.where(full, victim_any, free_way),
-            ),
-        )
-        evict = ~resident & (at_cap | full)
-        rows = np.arange(k)
-        evict_way = np.where(at_cap, victim_io, victim_any)
-        evicted_lines = np.where(evict, tag_rows[rows, evict_way], -1)
-        evicted_flags = np.where(evict, flag_rows[rows, evict_way], 0)
-        idx = flats * ways + way
-        # Clear the evicted slots first: the victim slot differs from the
-        # placement slot when the set had an earlier free way.
-        ev_idx = flats[evict] * ways + evict_way[evict]
-        self.tags[ev_idx] = -1
-        self.flags[ev_idx] = 0
-        self.stamps[ev_idx] = 0
-        self.tags[idx] = lines
-        # The only flag bits are IO and DIRTY, and the fill sets both — for
-        # a resident line this equals ``old | IO | DIRTY``, i.e. mark_io.
-        self.flags[idx] = LINE_IO | LINE_DIRTY
-        t0 = self._tick + 1
-        self._tick += k
-        self.stamps[idx] = np.arange(t0, t0 + k, dtype=np.int64)
-        # Directory and per-set counter bookkeeping (scalar, but tiny).
-        span = self._line_span
-        size_l = self._size
-        n_io_l = self._n_io
-        directory = self._dir
-        was_io = io_rows[rows, res_way]
-        for i, (flat, line, is_res) in enumerate(
-            zip(flats.tolist(), lines.tolist(), resident.tolist())
-        ):
-            if is_res:
-                if not was_io[i]:
-                    n_io_l[flat] += 1
-                continue
-            ev = int(evicted_lines[i])
-            if ev != -1:
-                del directory[flat * span + ev]
-                size_l[flat] -= 1
-                if evicted_flags[i] & LINE_IO:
-                    n_io_l[flat] -= 1
-            directory[flat * span + line] = int(way[i])
-            size_l[flat] += 1
-            n_io_l[flat] += 1
-        return resident, evicted_lines, evicted_flags
-
     def rx_burst_apply(
         self,
         flats: np.ndarray,
@@ -476,13 +374,12 @@ class CacheEngine:
         order-sensitive decisions (victim selection) are confined to one
         set, so the stream is applied in *rounds by within-set rank*: round
         ``r`` takes each set's ``r``-th op in temporal order.  Within a
-        round every set appears at most once, which makes the vectorised
-        hit/insert logic of :meth:`io_fill_many` exact against the live
-        arrays — and since a round's stamps/tags land before the next
-        round's gather, cross-op effects inside a set (a fill evicting a
-        line a later op re-misses on, a second fill of the same line
-        becoming a mark-io hit) resolve exactly as the sequential loop
-        would.  Structural misses under the DDIO way cap make multi-miss
+        round every set appears at most once, which makes a vectorised
+        hit/insert step exact against the live arrays — and since a
+        round's stamps/tags land before the next round's gather, cross-op
+        effects inside a set (a fill evicting a line a later op re-misses
+        on, a second fill of the same line becoming a mark-io hit) resolve
+        exactly as the sequential loop would.  Structural misses under the DDIO way cap make multi-miss
         sets the *common* case at line rate, so the kernel is total: it
         never declines.
 
@@ -566,9 +463,14 @@ class CacheEngine:
                 io_counts = io_rows.sum(axis=1)
                 full = occupied.sum(axis=1) >= ways
                 is_fill = mkinds == 0
-                at_cap = is_fill & (io_counts >= io_cap) & (io_counts > 0)
+                # A fill evicts the set's LRU I/O line at the cap (at least
+                # 1, so there is one), else the LRU line of a full set.
+                at_cap = is_fill & (io_counts >= io_cap)
                 victim_io = np.where(io_rows, srows, big).argmin(axis=1)
                 victim_any = np.where(occupied, srows, big).argmin(axis=1)
+                # First free way: empty slots hold -1, the row minimum.  A
+                # cap eviction in a non-full set inserts into the first
+                # empty slot, which may precede the victim's.
                 free_way = trows.argmin(axis=1)
                 way_m = np.where(
                     at_cap,

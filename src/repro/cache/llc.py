@@ -19,8 +19,9 @@ what the engine deliberately does not: DDIO way caps, partition
 victim-selection hooks, telemetry hooks, :class:`CacheStats` attribution
 and DRAM-traffic accounting.  On top of the scalar paths it exposes
 :meth:`access_many`, the batched kernel PRIME+PROBE sweeps ride
-(see PERFORMANCE.md), and a memoized per-line slice/set decomposition so
-the complex hash is evaluated once per line ever, not once per access.
+(see PERFORMANCE.md), :meth:`rx_burst`, which applies a multi-frame rx
+burst in one engine call, and a memoized per-line slice/set decomposition
+so the complex hash is evaluated once per line ever, not once per access.
 
 An optional *partition* object (the Section VII defense) takes over victim
 selection; see :mod:`repro.defense.partitioning`.  The pre-engine model is
@@ -187,9 +188,6 @@ class SlicedLLC:
         #: Defense hook: when set, victim selection is delegated to the
         #: partition (see repro.defense.partitioning.AdaptivePartition).
         self.partition = None
-        #: Optional callback fired on every I/O fill with the flat set id —
-        #: used by experiments to record ground-truth packet placement.
-        self.io_fill_hook: Callable[[int], None] | None = None
         #: Optional callback fired with the line address of every line that
         #: leaves the LLC — used for inclusive back-invalidation of L1s.
         self.evict_hook: Callable[[int], None] | None = None
@@ -556,8 +554,6 @@ class SlicedLLC:
                 self.partition.after_fill(self, flat, now)
             return
         self.stats.io_fills += 1
-        if self.io_fill_hook is not None:
-            self.io_fill_hook(flat)
         if self.telemetry is not None:
             self.telemetry.on_dma_fill()
         if self.partition is not None:
@@ -568,14 +564,14 @@ class SlicedLLC:
             self.partition.after_fill(self, flat, now)
             return
         # Vanilla DDIO: cap I/O lines per set, but victims may be CPU lines.
+        # The cap is at least 1 (``DDIOConfig``), so a set at the cap
+        # always holds an I/O line to evict.
         if self._skewed:
             # The I/O way cap stays set-wide (DDIO limits *how many* I/O
             # lines live in a set, not where); the fill itself may only
             # displace one of the line's candidate ways.
             if engine.io_count(flat) >= self.ddio.write_allocate_ways:
-                evicted = engine.evict_lru_of(flat, io=True)
-                if evicted is not None:
-                    self._retire(evicted, by_io=True)
+                self._retire(engine.evict_lru_of(flat, io=True), by_io=True)
             evicted = engine.insert_in(
                 flat, line, LINE_IO | LINE_DIRTY, *self._way_range(line)
             )
@@ -583,114 +579,16 @@ class SlicedLLC:
                 self._retire(evicted, by_io=True)
             return
         if engine.io_count(flat) >= self.ddio.write_allocate_ways:
-            evicted = engine.evict_lru_of(flat, io=True)
-            if evicted is not None:
-                self._retire(evicted, by_io=True)
+            self._retire(engine.evict_lru_of(flat, io=True), by_io=True)
         elif engine.size(flat) >= engine.ways:
             self._retire(engine.evict_lru(flat), by_io=True)
         engine.insert(flat, line, LINE_IO | LINE_DIRTY)
 
-    def io_write_many(
-        self,
-        paddrs: np.ndarray,
-        now: int = 0,
-        decomp: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> None:
-        """Batched :meth:`io_write`: one inbound-DMA burst, one engine call.
-
-        Semantically a loop of ``io_write`` over ``paddrs`` in order.  The
-        vectorised kernel (:meth:`CacheEngine.io_fill_many`) requires that
-        no two writes land in the same set and that victim selection stays
-        with the vanilla DDIO policy, so the call falls back to the exact
-        scalar loop whenever a partition or an eviction hook is installed,
-        or the batch contains duplicate sets.  The NIC's per-frame bursts
-        (consecutive lines of one rx buffer) always map to distinct sets,
-        so in practice the fallback only triggers under the defense.
-
-        ``decomp`` optionally carries the caller's cached ``(flats,
-        lines)`` decomposition of ``paddrs``, current when the call
-        starts; it is dropped if the call re-keys at its start.
-        """
-        n = len(paddrs)
-        if n == 0:
-            return
-        if self.partition is not None or self.evict_hook is not None:
-            for paddr in paddrs:
-                self.io_write(int(paddr), now=now)
-            return
-        if self._epochal:
-            if self._access_count >= self._epoch_period:
-                self._rekey(now)
-                self._access_count = 0
-                decomp = None
-            if n > self._epoch_period - self._access_count:
-                # Mid-batch re-key: exact scalar ordering required.
-                for paddr in paddrs:
-                    self.io_write(int(paddr), now=now)
-                return
-        if self._skewed:
-            # Way-restricted victim selection is not modelled by the
-            # vectorised fill kernel; take the exact scalar path.
-            for paddr in paddrs:
-                self.io_write(int(paddr), now=now)
-            return
-        flats, lines = decomp if decomp is not None else self.decompose_many(paddrs)
-        engine = self.engine
-        if not self.ddio.enabled:
-            # Direct to DRAM; snoop-invalidate any cached copies.
-            if self._epochal:
-                self._access_count += n
-            self.traffic.writes += n
-            hit, _ways = engine.lookup_many(flats, lines)
-            # A line can repeat within the batch: the lookup is a pre-state
-            # snapshot, so count only invalidations that actually happen.
-            for i in np.flatnonzero(hit):
-                if engine.invalidate(int(flats[i]), int(lines[i])) is not None:
-                    self.stats.invalidations += 1
-            return
-        if self.ddio.write_allocate_ways < 1:
-            # Degenerate cap: the scalar path's cap-eviction becomes a
-            # no-op on io-free sets and its full-set insert evicts without
-            # retirement accounting — semantics the kernel does not model.
-            for paddr in paddrs:
-                self.io_write(int(paddr), now=now)
-            return
-        if len(np.unique(flats)) != n:
-            for paddr in paddrs:
-                self.io_write(int(paddr), now=now)
-            return
-        if self._epochal:
-            self._access_count += n
-        resident, evicted_lines, evicted_flags = engine.io_fill_many(
-            flats, lines, self.ddio.write_allocate_ways
-        )
-        n_hits = int(resident.sum())
-        n_fills = n - n_hits
-        self.stats.io_hits += n_hits
-        if not n_fills:
-            return
-        self.stats.io_fills += n_fills
-        if self.io_fill_hook is not None:
-            for flat in flats[~resident].tolist():
-                self.io_fill_hook(flat)
-        if self.telemetry is not None:
-            self.telemetry.on_dma_fill(n_fills)
-        # Retire the evicted lines (all evicted by I/O fills).
-        evicted = np.flatnonzero(evicted_lines != -1)
-        if not len(evicted):
-            return
-        ev_flags = evicted_flags[evicted]
-        dirty = int((ev_flags & LINE_DIRTY != 0).sum())
-        self.stats.writebacks += dirty
-        self.traffic.writes += dirty
-        victims_io = (ev_flags & LINE_IO) != 0
-        self.stats.io_evicted_io += int(victims_io.sum())
-        n_cpu = int(len(evicted) - victims_io.sum())
-        if n_cpu:
-            self.stats.io_evicted_cpu += n_cpu
-            if self.telemetry is not None:
-                for i in evicted[~victims_io].tolist():
-                    self.telemetry.on_io_evict_cpu(int(evicted_lines[i]))
+    def io_write_many(self, paddrs: np.ndarray, now: int = 0) -> None:
+        """One frame's inbound DMA: a loop of :meth:`io_write` over
+        ``paddrs`` in order.  Multi-frame bursts take :meth:`rx_burst`."""
+        for paddr in paddrs.tolist():
+            self.io_write(paddr, now)
 
     def rx_burst(
         self,
@@ -821,16 +719,14 @@ class SlicedLLC:
 
     def supports_rx_burst(self) -> bool:
         """Whether :meth:`rx_burst` models this cache's policy — the one
-        list of what it covers: vanilla DDIO with an I/O way, no partition
-        or per-line hook, and an unskewed (no way-restricted victims)
-        index backend.  An epochal backend qualifies: each burst stays
-        inside one mapping epoch (:meth:`accesses_until_rekey`)."""
+        list of what it covers: vanilla DDIO, no partition or eviction
+        hook, and an unskewed (no way-restricted victims) index backend.
+        An epochal backend qualifies: each burst stays inside one mapping
+        epoch (:meth:`accesses_until_rekey`)."""
         return (
             self.ddio.enabled
-            and self.ddio.write_allocate_ways >= 1
             and self.partition is None
             and self.evict_hook is None
-            and self.io_fill_hook is None
             and not self._skewed
         )
 

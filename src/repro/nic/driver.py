@@ -27,11 +27,11 @@ cursor, page flip or replacement, randomizer), none of which reads cache
 state; :meth:`IgbDriver._reads`
 lists the buffer blocks it reads, in order, and
 :meth:`IgbDriver._skb_count` the skb lines it writes.  Per-frame
-:meth:`IgbDriver.receive` issues that sequence as batched
-:meth:`~repro.cache.llc.SlicedLLC.access_many` calls over the buffer's
-precomputed decomposition (:class:`RxTemplates`); the NIC's cross-frame
-burst path folds the same sequence into a footprint-op template
-(:meth:`IgbDriver._burst_template`).  The scalar original is frozen in
+:meth:`IgbDriver.receive` issues that sequence one
+:meth:`~repro.cache.llc.SlicedLLC.cpu_access` at a time; the NIC's
+cross-frame burst path folds the same sequence into a footprint-op
+template (:meth:`IgbDriver._burst_template`) over the buffers' precomputed
+decompositions (:class:`RxTemplates`).  The scalar original is frozen in
 :mod:`repro.nic.legacy` and pinned bit-identical by
 ``tests/test_rx_equivalence.py``.
 """
@@ -196,7 +196,7 @@ class IgbDriver:
     # ------------------------------------------------------------------
     @staticmethod
     @functools.cache
-    def _reads(path: int, n: int) -> np.ndarray:
+    def _reads(path: int, n: int) -> tuple[int, ...]:
         """Buffer blocks a ``path`` frame of ``n`` blocks reads, in order.
 
         Every receive reads the header and prefetches block 1, even for a
@@ -205,14 +205,10 @@ class IgbDriver:
         the stack.  A broadcast reads nothing more.
         """
         if path == IgbDriver._PATH_COPY:
-            blocks = [0, 1, *range(n)]
-        elif path == IgbDriver._PATH_FRAG:
-            blocks = [0, 1, *range(2, n)]
-        else:
-            blocks = [0, 1]
-        reads = np.array(blocks, dtype=np.intp)
-        reads.flags.writeable = False  # cached: shared by every receive
-        return reads
+            return (0, 1, *range(n))
+        if path == IgbDriver._PATH_FRAG:
+            return (0, 1, *range(2, n))
+        return (0, 1)
 
     @staticmethod
     def _skb_count(path: int, n: int) -> int:
@@ -241,7 +237,7 @@ class IgbDriver:
         frame's total tick count and ``buf_ops`` its number of buffer ops;
         the touched blocks are always ``0..buf_ops-1``.
         """
-        stream = [*range(n), *IgbDriver._reads(path, n).tolist()]
+        stream = [*range(n), *IgbDriver._reads(path, n)]
         last = {block: pos for pos, block in enumerate(stream)}
         blocks = sorted(last)
         assert blocks == list(range(len(blocks)))
@@ -362,41 +358,31 @@ class IgbDriver:
     ) -> None:
         machine = self.machine
         llc = machine.llc
+        # Looked up per receive, so a wrapper installed on the class counts
+        # every access.
+        cpu_access = llc.cpu_access
+        line = self._line
         base = buffer.dma_paddr  # before _prep flips or replaces the buffer
         path = self._path(frame)
         skb = self._prep(frame, path, buffer, ring_slot, now)
-        if path == self._PATH_BCAST:
-            # A broadcast reads blocks 0 and 1 only: two scalar accesses beat
-            # the batch setup cost on this (covert channel) hot path.
-            llc.cpu_access(base, now=now)
-            llc.cpu_access(base + self._line, now=now)
-            return
-        paddrs, flats, lines = self.templates.decomp(base)
-        reads = self._reads(path, frame.n_blocks(self._line))
+        reads = self._reads(path, frame.n_blocks(line))
         deferred = None
         if path == self._PATH_FRAG and not llc.ddio.enabled:
             # Without DDIO the stack touches the payload noticeably after
             # the header (Huggahalli et al.: < 20k cycles) — the lag that
             # makes size detection of large packets noisier (Section IV-d).
             reads, deferred = reads[:2], reads[2:]
-        llc.access_many(paddrs[reads], now=now, decomp=(flats[reads], lines[reads]))
-        skb_flats, skb_lines = self.templates.skb()
-        llc.access_many(
-            self._skb_paddrs[skb],
-            write=True,
-            now=now,
-            decomp=(skb_flats[skb], skb_lines[skb]),
-        )
+        for block in reads:
+            cpu_access(base + block * line, False, now)
+        if skb is not None:
+            for paddr in self._skb_paddrs[skb].tolist():
+                cpu_access(paddr, True, now)
         if deferred is not None:
 
             def touch_payload() -> None:
-                # Decompose when the touch runs: a re-key may land first.
-                paddrs, flats, lines = self.templates.decomp(base)
-                llc.access_many(
-                    paddrs[deferred],
-                    now=machine.clock.now,
-                    decomp=(flats[deferred], lines[deferred]),
-                )
+                later = machine.clock.now
+                for block in deferred:
+                    llc.cpu_access(base + block * line, False, later)
 
             machine.events.schedule(
                 now + llc.timing.payload_touch_delay, touch_payload, label="payload"

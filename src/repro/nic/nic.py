@@ -9,16 +9,16 @@ I/O-to-driver latency) and when the stack touches the payload (later
 still), which delays and blurs — but does not eliminate — the signal
 (Section IV-d of the paper).
 
-Each frame's DMA fill is one batched engine call
-(:meth:`repro.cache.llc.SlicedLLC.io_write_many`) over the buffer's
-precomputed decomposition (:class:`repro.nic.driver.RxTemplates`, owned by
-the driver).  Frames that land back-to-back with nothing observing the
-machine in between are delivered as a burst (:meth:`Nic.deliver_burst`):
-the driver's one receive description — its control flow and its touch
-sequence — is run per frame, then the whole burst's cache-op stream is
-applied in one engine call.  The pre-batching path is frozen in
-:mod:`repro.nic.legacy` and pinned bit-identical by
-``tests/test_rx_equivalence.py``.
+A frame delivered on its own is filled one block at a time
+(:meth:`repro.cache.llc.SlicedLLC.io_write_many`, a loop of ``io_write``).
+Frames that land back-to-back with nothing observing the machine in
+between are delivered as a burst (:meth:`Nic.deliver_burst`): the driver's
+one receive description — its control flow and its touch sequence — is run
+per frame, then the whole burst's cache-op stream is applied in one engine
+call over the buffers' precomputed decompositions
+(:class:`repro.nic.driver.RxTemplates`, owned by the driver).  The
+pre-batching path is frozen in :mod:`repro.nic.legacy` and pinned
+bit-identical by ``tests/test_rx_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -63,13 +63,9 @@ class Nic:
     def _dma_fill(self, base: int, n_blocks: int, now: int) -> None:
         """DMA every block of the frame into the cache hierarchy — the one
         place the fill loop lives (it used to be duplicated per tracer
-        branch), now a single batched engine call."""
-        paddrs, flats, lines = self.driver.templates.decomp(base)
-        self.machine.llc.io_write_many(
-            paddrs[:n_blocks],
-            now=now,
-            decomp=(flats[:n_blocks], lines[:n_blocks]),
-        )
+        branch)."""
+        paddrs = self.driver.templates.decomp(base)[0]
+        self.machine.llc.io_write_many(paddrs[:n_blocks], now=now)
 
     def deliver(self, frame: Frame, now: int | None = None) -> None:
         """Receive one frame at cycle ``now`` (default: the current time).

@@ -44,7 +44,7 @@ class Telemetry:
     def on_dma_fill(self, n: int = 1) -> None:
         """``n`` DDIO lines allocated in the LLC by inbound DMA.
 
-        Batched DMA paths report a whole frame's fills in one call; the
+        The rx burst path reports a whole burst's fills in one call; the
         counter value is identical to ``n`` scalar calls.
         """
         if self.metrics.enabled:

@@ -222,12 +222,6 @@ class TestLLCDDIOPath:
         llc.io_write(0x6000)
         assert not llc.is_resident(0x6000)
 
-    def test_io_fill_hook_fires(self, llc):
-        seen = []
-        llc.io_fill_hook = seen.append
-        llc.io_write(0x7000)
-        assert seen == [llc.flat_set_of(0x7000)]
-
 
 class TestAddressDecomposition:
     def test_flat_set_combines_slice_and_index(self, llc):

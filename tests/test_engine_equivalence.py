@@ -133,7 +133,7 @@ def test_batched_access_equivalence(ddio_enabled):
 
 @pytest.mark.parametrize("ddio_enabled", [True, False])
 def test_batched_io_write_equivalence(ddio_enabled):
-    """io_write_many == a loop of io_write — the NIC's DMA burst kernel.
+    """io_write_many == a loop of io_write — the NIC's per-frame DMA fill.
 
     Mixes burst sizes (1..32 lines, the rx-buffer span), interleaves CPU
     traffic so bursts hit resident lines, lines at the DDIO way cap, and
@@ -162,7 +162,7 @@ def test_batched_io_write_equivalence(ddio_enabled):
 
 
 def test_batched_io_write_partition_fallback():
-    """With a partition installed io_write_many must fall back scalar."""
+    """io_write_many == a loop of io_write with a partition installed."""
     new, old = build_pair(True, True, ModuloSliceHash)
     rng = random.Random(43)
     n_lines = GEOMETRY.total_sets * 3

@@ -18,6 +18,10 @@ fragment path; over the full matrix more than 10k randomized frames are
 replayed per side.  Keyed-index rows re-key inside the burst windows:
 there a burst stops at the re-key and the frame that reaches it is
 delivered on its own, which the mapping stats and epoch pin as well.
+Skewed-index rows (DDIO on and off) and a row with an L1 hierarchy's
+back-invalidation hook installed pin the per-frame path under the policies
+the burst kernel declines; the latter also compares the line sequence the
+hook is passed.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import pytest
 
 import numpy as np
 
+from repro.cache.hierarchy import CacheHierarchy
 from repro.core.config import DDIOConfig, MachineConfig, RingConfig
 from repro.core.machine import Machine
 from repro.defense.partitioning import AdaptivePartition, PartitionConfig
@@ -68,6 +73,7 @@ def build_machine(
     randomize: bool | str,
     copy_threshold: int = COPY,
     backend: str = "modulo",
+    l1: bool = False,
 ) -> Machine:
     cfg = MachineConfig().scaled_down()
     cfg.cache_backend = backend
@@ -87,6 +93,12 @@ def build_machine(
         m.driver.randomizer = FullRandomizer()
     elif randomize:
         m.driver.randomizer = PartialRandomizer(interval=16, rng=random.Random(5))
+    if l1:
+        # The L1 back-invalidation hook a victim's hierarchy installs
+        # (nginx), chained in front of a log of every line it is passed.
+        m.evicted_lines = []
+        m.llc.evict_hook = m.evicted_lines.append
+        CacheHierarchy(m.llc)
     return m
 
 
@@ -130,48 +142,56 @@ def full_state(m: Machine):
         "ring": m.ring.order_fingerprint(),
         "lines": lines,
         "mapping": (m.llc.mapping.stats.snapshot(), m.llc.mapping_epoch),
+        "evicted": getattr(m, "evicted_lines", None),
         "now": m.clock.now,
     }
 
 
-# (ddio, faults, partition, randomize, copy_threshold, n_frames, backend),
-# where randomize is False, True (partial: permute the ring every 16
-# packets) or "full" (a fresh page per packet); >= 10k frames in total.
-# The keyed rows run with DDIO on and no faults, where bursts engage;
-# epoch=700 re-keys inside most burst windows.
+# (ddio, faults, partition, randomize, copy_threshold, l1, n_frames,
+# backend), where randomize is False, True (partial: permute the ring every
+# 16 packets) or "full" (a fresh page per packet), and l1 attaches an L1
+# hierarchy, whose back-invalidation hook the LLC then calls on every
+# eviction; >= 10k frames in total.  The keyed rows run with DDIO on and no
+# faults, where bursts engage; epoch=700 re-keys inside most burst windows.
+# The skewed and l1 rows take the per-frame path, which the burst kernel
+# does not model.
 MATRIX = [
-    (True, "off", False, False, COPY, 2600, "modulo"),
-    (True, "off", True, False, COPY, 1200, "modulo"),
-    (True, "heavy", False, False, COPY, 1200, "modulo"),
-    (True, "heavy", True, False, COPY, 1000, "modulo"),
-    (False, "off", False, False, COPY, 1200, "modulo"),
-    (False, "off", True, False, COPY, 1000, "modulo"),
-    (False, "heavy", False, False, COPY, 1000, "modulo"),
-    (False, "heavy", True, False, COPY, 1000, "modulo"),
-    (True, "off", False, True, COPY, 1200, "modulo"),
-    (False, "heavy", False, "full", COPY, 1000, "modulo"),
-    (True, "off", False, False, 0, 1000, "modulo"),
-    (True, "off", False, False, COPY, 1200, "keyed:epoch=3000"),
-    (True, "off", False, False, COPY, 1000, "keyed:epoch=700"),
-    (True, "off", False, False, 0, 1000, "keyed:epoch=3000"),
-    (True, "off", False, True, COPY, 1000, "keyed:epoch=3000"),
+    (True, "off", False, False, COPY, False, 2600, "modulo"),
+    (True, "off", True, False, COPY, False, 1200, "modulo"),
+    (True, "heavy", False, False, COPY, False, 1200, "modulo"),
+    (True, "heavy", True, False, COPY, False, 1000, "modulo"),
+    (False, "off", False, False, COPY, False, 1200, "modulo"),
+    (False, "off", True, False, COPY, False, 1000, "modulo"),
+    (False, "heavy", False, False, COPY, False, 1000, "modulo"),
+    (False, "heavy", True, False, COPY, False, 1000, "modulo"),
+    (True, "off", False, True, COPY, False, 1200, "modulo"),
+    (False, "heavy", False, "full", COPY, False, 1000, "modulo"),
+    (True, "off", False, False, 0, False, 1000, "modulo"),
+    (True, "off", False, False, COPY, False, 1200, "keyed:epoch=3000"),
+    (True, "off", False, False, COPY, False, 1000, "keyed:epoch=700"),
+    (True, "off", False, False, 0, False, 1000, "keyed:epoch=3000"),
+    (True, "off", False, True, COPY, False, 1000, "keyed:epoch=3000"),
+    (True, "off", False, False, COPY, False, 1000, "skewed:partitions=2"),
+    (False, "off", False, False, COPY, False, 1000, "skewed:partitions=2"),
+    (True, "off", False, False, COPY, True, 1000, "modulo"),
 ]
 
 assert sum(case[-2] for case in MATRIX) >= 10_000
 
 
 @pytest.mark.parametrize(
-    "ddio,faults,partition,randomize,copy_threshold,n_frames,backend",
+    "ddio,faults,partition,randomize,copy_threshold,l1,n_frames,backend",
     MATRIX,
     ids=[
         f"ddio={d}-faults={f}-part={p}-rand={r}"
         + (f"-copy={c}" if c != COPY else "")
         + (f"-{b}" if b != "modulo" else "")
-        for d, f, p, r, c, _, b in MATRIX
+        + ("-l1" if h else "")
+        for d, f, p, r, c, h, _, b in MATRIX
     ],
 )
 def test_rx_datapath_equivalence(
-    ddio, faults, partition, randomize, copy_threshold, n_frames, backend
+    ddio, faults, partition, randomize, copy_threshold, l1, n_frames, backend
 ):
     seed = (
         1000 * ddio
@@ -181,8 +201,8 @@ def test_rx_datapath_equivalence(
         + 5 * (copy_threshold == 0)
     )
     config = (ddio, faults, partition, randomize, copy_threshold, backend)
-    legacy = build_machine(True, *config)
-    batched = build_machine(False, *config)
+    legacy = build_machine(True, *config, l1=l1)
+    batched = build_machine(False, *config, l1=l1)
     trace_a = run_workload(legacy, seed, n_frames)
     trace_b = run_workload(batched, seed, n_frames)
     assert trace_a == trace_b, "probe latency traces diverged"
@@ -192,8 +212,10 @@ def test_rx_datapath_equivalence(
     # The workload actually delivered frames through the datapath.
     assert batched.nic.stats.frames > 0
     assert batched.driver.stats.frames > 0
-    if backend != "modulo":
+    if batched.llc.mapping.epoch_period:
         assert batched.llc.mapping_epoch >= 2  # re-keys landed in the run
+    if l1:
+        assert batched.evicted_lines  # the hook saw the run's evictions
 
 
 def test_bursts_actually_used():
