@@ -11,7 +11,8 @@ Measures, on the bench-scale machine (256 monitored sets x 12 ways):
   datapath (burst drains handing whole frame groups to one vectorised
   engine call) vs the frozen scalar one (:mod:`repro.nic.legacy`),
   delivering an identical MTU-heavy frame mix through the event queue;
-  ``rx_direct_*`` isolates the per-frame ``nic.deliver`` path;
+  ``rx_direct_*`` isolates the per-frame ``nic.deliver`` path, and
+  ``rx_short_*`` the short bursts of the ``scan`` workload's traffic;
 * ``machine_init_ms`` / ``legacy_llc_init_ms`` — LLC construction cost
   (the engine allocates three numpy arrays; the legacy model 16384 dicts);
 * ``backend_overhead``    — the same batched probe sweep run under each
@@ -203,13 +204,33 @@ def _bench_rx_stream(legacy: bool, n_frames: int) -> float:
     return elapsed
 
 
+def _bench_rx_short(legacy: bool, n_frames: int) -> float:
+    """Seconds to deliver ``n_frames`` of the ``scan`` workload's traffic:
+    64-B broadcasts at 200 kpps, drained through ``Machine.idle`` windows
+    of one 8 kHz probe interval, so each burst holds ~25 frames (~50
+    cache ops)."""
+    from repro.net.traffic import ConstantStream
+
+    machine = _rx_machine(legacy)
+    source = ConstantStream(size=64, rate_pps=200_000.0, count=n_frames)
+    window = int(machine.clock.frequency_hz / 8000)
+    t0 = time.perf_counter()
+    source.attach(machine, machine.nic)
+    while source.sent < n_frames:
+        machine.idle(window)
+    return time.perf_counter() - t0
+
+
 def bench_rx(n_frames: int) -> dict:
     """Batched-vs-legacy rx datapath throughput (frames per wall second).
 
     The headline ``rx_speedup`` compares the full datapath both sides
     actually run — traffic source through the event queue into the NIC —
     which is where the cross-frame burst batching operates (a drained
-    window hands ``Nic.deliver_burst`` whole frame groups).  The
+    window hands ``Nic.deliver_burst`` whole frame groups).  Its bursts
+    are long (~2 000 cache ops), so they take the engine's round kernel.
+    The ``rx_short_*`` secondaries (not gated) time bursts on the other
+    side of the engine's length switch, the in-order pass.  The
     ``rx_direct_*`` secondaries push frames one at a time through
     ``nic.deliver``, isolating the per-frame path, a scalar loop like
     the frozen one, where cross-frame vectorisation cannot apply.
@@ -218,11 +239,16 @@ def bench_rx(n_frames: int) -> dict:
     batched_direct_s = _bench_rx_direct(False, n_frames)
     legacy_s = _bench_rx_stream(True, n_frames)
     batched_s = _bench_rx_stream(False, n_frames)
+    legacy_short_s = _bench_rx_short(True, n_frames)
+    batched_short_s = _bench_rx_short(False, n_frames)
     return {
         "rx_frames": n_frames,
         "rx_frames_per_s": round(n_frames / batched_s),
         "legacy_rx_frames_per_s": round(n_frames / legacy_s),
         "rx_speedup": round(legacy_s / batched_s, 2),
+        "rx_short_frames_per_s": round(n_frames / batched_short_s),
+        "legacy_rx_short_frames_per_s": round(n_frames / legacy_short_s),
+        "rx_short_speedup": round(legacy_short_s / batched_short_s, 2),
         "rx_direct_frames_per_s": round(n_frames / batched_direct_s),
         "legacy_rx_direct_frames_per_s": round(n_frames / legacy_direct_s),
         "rx_direct_speedup": round(legacy_direct_s / batched_direct_s, 2),

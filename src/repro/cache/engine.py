@@ -31,9 +31,37 @@ traces.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.cache.cacheset import LINE_DIRTY, LINE_IO
+
+#: Bursts of at least this many ops take the round-by-rank kernel; shorter
+#: ones take the in-order pass.  Set where the two cost the same on the rx
+#: hot-path stream's bursts (``scripts/rx_crossover.py``; PERFORMANCE.md,
+#: "The rx datapath").
+ROUND_KERNEL_MIN_OPS = 160
+
+_BIG = np.iinfo(np.int64).max
+
+
+class RxBurstCounts(NamedTuple):
+    """What one rx burst did, for :meth:`SlicedLLC.rx_burst`'s accounting.
+
+    ``io_by_fill`` and ``io_by_cpu`` count the I/O lines evicted by DMA
+    fills and by CPU ops; ``cpu_by_fill`` lists, in op order, the CPU
+    lines that fills displaced.
+    """
+
+    fill_hits: int
+    new_fills: int
+    cpu_hits: int
+    cpu_misses: int
+    dirty_victims: int
+    io_by_fill: int
+    io_by_cpu: int
+    cpu_by_fill: list[int]
 
 
 class CacheEngine:
@@ -357,8 +385,8 @@ class CacheEngine:
         stamp_offs: np.ndarray,
         total_ops: int,
         io_cap: int,
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-        """Apply a multi-frame rx burst's cache-op stream in rounds.
+    ) -> RxBurstCounts:
+        """Apply a multi-frame rx burst's cache-op stream; return its counts.
 
         The caller (the NIC's drained-burst path) has already flattened a
         sequence of received frames into one ordered stream of *footprint*
@@ -368,39 +396,164 @@ class CacheEngine:
         matter, and ``stamp_offs[i]`` carries the 0-based position of the
         **last** op on that line within the burst's ``total_ops`` ticks.
         Replaying the stream sequentially would therefore leave line ``i``
-        stamped ``tick + 1 + stamp_offs[i]``.
+        stamped ``tick + 1 + stamp_offs[i]``, which is what both paths
+        below write; the tick ends ``total_ops`` on.
+
+        A fill that misses evicts the set's LRU I/O line once the set
+        holds ``io_cap`` I/O lines (the DDIO way cap, at least 1, so there
+        is one), else the LRU line of a full set; a CPU op that misses
+        evicts the LRU line of a full set.  A fill that hits converts a
+        CPU line to I/O, as :meth:`mark_io` does.  Only the order of one
+        set's ops matters, and the stream lists same-set ops in ascending
+        position order, which the NIC's burst layout guarantees (a frame's
+        buffer lines occupy distinct sets, skb ops follow every folded
+        final, frames are appended in arrival order).
+
+        A burst of fewer than :data:`ROUND_KERNEL_MIN_OPS` ops runs as one
+        in-order scalar pass (:meth:`_rx_in_order`); a longer one runs in
+        rounds by within-set rank (:meth:`_rx_rounds`), whose fixed numpy
+        cost per round pays only on long bursts.  Both leave the same
+        state and return the same :class:`RxBurstCounts`, pinned by
+        ``tests/test_rx_equivalence.py``.
+        """
+        if len(flats) < ROUND_KERNEL_MIN_OPS:
+            counts = self._rx_in_order(flats, lines, kinds, stamp_offs, io_cap)
+        else:
+            counts = self._rx_rounds(flats, lines, kinds, stamp_offs, io_cap)
+        self._tick += total_ops
+        return counts
+
+    def _rx_in_order(
+        self,
+        flats: np.ndarray,
+        lines: np.ndarray,
+        kinds: np.ndarray,
+        stamp_offs: np.ndarray,
+        io_cap: int,
+    ) -> RxBurstCounts:
+        """The burst as one pass in stream order: one directory lookup per
+        op, and a read of the set's row only where a miss picks a way."""
+        ways = self.ways
+        span = self._line_span
+        directory = self._dir
+        size_l = self._size
+        n_io_l = self._n_io
+        tags = self.tags
+        flags = self.flags
+        stamps = self.stamps
+        stamp0 = self._tick + 1
+        io_dirty = LINE_IO | LINE_DIRTY
+        fill_hits = new_fills = cpu_hits = cpu_misses = 0
+        dirty = io_by_fill = io_by_cpu = 0
+        cpu_by_fill: list[int] = []
+        for flat, line, kind, off in zip(
+            flats.tolist(), lines.tolist(), kinds.tolist(), stamp_offs.tolist()
+        ):
+            way = directory.get(flat * span + line)
+            if way is not None:
+                slot = flat * ways + way
+                if kind == 0:
+                    fill_hits += 1
+                    old = int(flags[slot])
+                    if old != io_dirty:
+                        if not old & LINE_IO:
+                            n_io_l[flat] += 1
+                        flags[slot] = io_dirty
+                else:
+                    cpu_hits += 1
+                    if kind == 2:
+                        flags[slot] = int(flags[slot]) | LINE_DIRTY
+                stamps[slot] = stamp0 + off
+                continue
+            base = flat * ways
+            full = size_l[flat] >= ways
+            if kind == 0:
+                new_fills += 1
+                if n_io_l[flat] >= io_cap:
+                    # The LRU I/O line; a loop beats numpy on one row.
+                    row_stamps = stamps[base : base + ways].tolist()
+                    victim, oldest = -1, _BIG
+                    for w, f in enumerate(flags[base : base + ways].tolist()):
+                        if f & LINE_IO and row_stamps[w] < oldest:
+                            victim, oldest = w, row_stamps[w]
+                elif full:
+                    victim = int(stamps[base : base + ways].argmin())
+                else:
+                    victim = -1
+            else:
+                cpu_misses += 1
+                victim = int(stamps[base : base + ways].argmin()) if full else -1
+            if victim < 0:
+                # First free way: empty ways hold -1, the row minimum.
+                way = int(tags[base : base + ways].argmin())
+                size_l[flat] += 1
+            else:
+                vslot = base + victim
+                vline = int(tags[vslot])
+                vflags = int(flags[vslot])
+                del directory[flat * span + vline]
+                if vflags & LINE_DIRTY:
+                    dirty += 1
+                if vflags & LINE_IO:
+                    n_io_l[flat] -= 1
+                    if kind == 0:
+                        io_by_fill += 1
+                    else:
+                        io_by_cpu += 1
+                elif kind == 0:
+                    cpu_by_fill.append(vline)
+                way = victim
+                if not full:
+                    # A cap eviction in a set with a free way: the fill
+                    # takes the first free way, which may precede the
+                    # victim's.
+                    free = int(tags[base : base + ways].argmin())
+                    if free < victim:
+                        way = free
+                        tags[vslot] = -1
+                        flags[vslot] = 0
+                        stamps[vslot] = 0
+            slot = base + way
+            tags[slot] = line
+            stamps[slot] = stamp0 + off
+            directory[flat * span + line] = way
+            if kind == 0:
+                flags[slot] = io_dirty
+                n_io_l[flat] += 1
+            else:
+                flags[slot] = LINE_DIRTY if kind == 2 else 0
+        return RxBurstCounts(
+            fill_hits, new_fills, cpu_hits, cpu_misses, dirty, io_by_fill, io_by_cpu,
+            cpu_by_fill,
+        )
+
+    def _rx_rounds(
+        self,
+        flats: np.ndarray,
+        lines: np.ndarray,
+        kinds: np.ndarray,
+        stamp_offs: np.ndarray,
+        io_cap: int,
+    ) -> RxBurstCounts:
+        """The burst in rounds by within-set rank.
 
         Per-set state is independent across sets and the only
         order-sensitive decisions (victim selection) are confined to one
-        set, so the stream is applied in *rounds by within-set rank*: round
-        ``r`` takes each set's ``r``-th op in temporal order.  Within a
-        round every set appears at most once, which makes a vectorised
-        hit/insert step exact against the live arrays — and since a
-        round's stamps/tags land before the next round's gather, cross-op
-        effects inside a set (a fill evicting a line a later op re-misses
-        on, a second fill of the same line becoming a mark-io hit) resolve
-        exactly as the sequential loop would.  Structural misses under the DDIO way cap make multi-miss
-        sets the *common* case at line rate, so the kernel is total: it
-        never declines.
-
-        One op per set per round relies on the op stream listing same-set
-        ops in ascending position order, which the NIC's burst layout
-        guarantees (a frame's buffer lines occupy consecutive sets, skb
-        ops follow every folded final, frames are appended in arrival
-        order) — a stable sort on ``flats`` alone therefore yields the
-        temporal rank.
-
-        Returns ``(hit, evict_pos, evicted_lines, evicted_flags)``:
-        per-op residency at its point in the stream (not pre-burst
-        residency — a line inserted by an earlier op and re-accessed
-        counts as the hit the sequential loop would see), plus the ops
-        that evicted (``evict_pos`` indexes into the op arrays; all three
-        are ``None`` when nothing was evicted).
+        set, so round ``r`` takes each set's ``r``-th op in stream order.
+        Within a round every set appears at most once, which makes a
+        vectorised hit/insert step exact against the live arrays — and
+        since a round's stamps/tags land before the next round's gather,
+        cross-op effects inside a set (a fill evicting a line a later op
+        re-misses on, a second fill of the same line becoming a mark-io
+        hit) resolve exactly as the sequential loop would.  Structural
+        misses under the DDIO way cap make multi-miss sets the *common*
+        case at line rate, so the kernel is total: it never declines.
+        Same-set ops are listed in ascending position order, so a stable
+        sort on ``flats`` alone yields the rank.
         """
         ways = self.ways
         n = len(flats)
-        t0 = self._tick
-        base_stamp = t0 + 1
+        base_stamp = self._tick + 1
         # Rank ops within their set.  Sets referenced once (the vast
         # majority) need no ordering at all; only the duplicate subset is
         # stable-sorted, which is far cheaper than sorting the full burst.
@@ -429,7 +582,6 @@ class CacheEngine:
         ev_pos_parts: list[np.ndarray] = []
         ev_lines_parts: list[np.ndarray] = []
         ev_flags_parts: list[np.ndarray] = []
-        big = np.iinfo(np.int64).max
         span = self._line_span
         directory = self._dir
         size_l = self._size
@@ -466,8 +618,8 @@ class CacheEngine:
                 # A fill evicts the set's LRU I/O line at the cap (at least
                 # 1, so there is one), else the LRU line of a full set.
                 at_cap = is_fill & (io_counts >= io_cap)
-                victim_io = np.where(io_rows, srows, big).argmin(axis=1)
-                victim_any = np.where(occupied, srows, big).argmin(axis=1)
+                victim_io = np.where(io_rows, srows, _BIG).argmin(axis=1)
+                victim_any = np.where(occupied, srows, _BIG).argmin(axis=1)
                 # First free way: empty slots hold -1, the row minimum.  A
                 # cap eviction in a non-full set inserts into the first
                 # empty slot, which may precede the victim's.
@@ -533,15 +685,28 @@ class CacheEngine:
             self.tags[idx] = l
             offs = stamp_offs if sel is None else stamp_offs[sel]
             self.stamps[idx] = offs + base_stamp
-        self._tick = t0 + total_ops
+        fill = kinds == 0
+        n_fill = int(fill.sum())
+        fill_hits = int((hit_all & fill).sum())
+        cpu_hits = int(hit_all.sum()) - fill_hits
+        dirty = io_by_fill = io_by_cpu = 0
+        cpu_by_fill: list[int] = []
         if ev_pos_parts:
-            return (
-                hit_all,
-                np.concatenate(ev_pos_parts),
-                np.concatenate(ev_lines_parts),
-                np.concatenate(ev_flags_parts),
-            )
-        return hit_all, None, None, None
+            ev_pos = np.concatenate(ev_pos_parts)
+            ev_lines = np.concatenate(ev_lines_parts)
+            ev_flags = np.concatenate(ev_flags_parts)
+            dirty = int(((ev_flags & LINE_DIRTY) != 0).sum())
+            victim_io = (ev_flags & LINE_IO) != 0
+            by_fill = fill[ev_pos]
+            io_by_fill = int((by_fill & victim_io).sum())
+            io_by_cpu = int(victim_io.sum()) - io_by_fill
+            displaced = by_fill & ~victim_io
+            # Rounds evict out of stream order; report the lines in it.
+            cpu_by_fill = ev_lines[displaced][np.argsort(ev_pos[displaced])].tolist()
+        return RxBurstCounts(
+            fill_hits, n_fill - fill_hits, cpu_hits, n - n_fill - cpu_hits, dirty,
+            io_by_fill, io_by_cpu, cpu_by_fill,
+        )
 
     def touch_many(
         self,

@@ -20,8 +20,9 @@ victim-selection hooks, telemetry hooks, :class:`CacheStats` attribution
 and DRAM-traffic accounting.  On top of the scalar paths it exposes
 :meth:`access_many`, the batched kernel PRIME+PROBE sweeps ride
 (see PERFORMANCE.md), :meth:`rx_burst`, which applies a multi-frame rx
-burst in one engine call, and a memoized per-line slice/set decomposition
-so the complex hash is evaluated once per line ever, not once per access.
+burst in one engine call and books the counts it returns, and a memoized
+per-line slice/set decomposition so the complex hash is evaluated once per
+line ever, not once per access.
 
 An optional *partition* object (the Section VII defense) takes over victim
 selection; see :mod:`repro.defense.partitioning`.  The pre-engine model is
@@ -604,11 +605,14 @@ class SlicedLLC:
         The NIC's drained-burst path (:meth:`repro.nic.nic.Nic.
         deliver_burst`) hands over the flattened footprint-op stream of
         many back-to-back frames — see :meth:`CacheEngine.rx_burst_apply`
-        for the encoding and the round-by-rank application.
-        ``folded_hits`` counts the driver re-touches of same-frame lines
-        that were folded into ``stamp_offs`` (guaranteed hits, attributed
-        here).  ``total_ops`` is the burst's LLC access count, the same
-        as the per-frame path's.
+        for the encoding and its two paths, an in-order pass for short
+        bursts and rounds by within-set rank for long ones.  The engine
+        returns the burst's counts, which this adds to the stats, the
+        DRAM traffic and the telemetry.  ``folded_hits`` counts the driver
+        re-touches of same-frame lines that were folded into
+        ``stamp_offs`` (guaranteed hits, attributed here).  ``total_ops``
+        is the burst's LLC access count, the same as the per-frame
+        path's.
 
         Raises, with no state touched, when :meth:`supports_rx_burst`
         does not hold or the burst would reach a re-key
@@ -626,43 +630,27 @@ class SlicedLLC:
                 f"{total_ops} burst accesses cross the re-key "
                 f"{self.accesses_until_rekey()} accesses ahead"
             )
-        pre_res, ev_pos, ev_lines, ev_flags = self.engine.rx_burst_apply(
+        counts = self.engine.rx_burst_apply(
             flats, lines, kinds, stamp_offs, total_ops, self.ddio.write_allocate_ways
         )
         if self._epochal:
             self._access_count += total_ops
         stats = self.stats
-        fills = kinds == 0
-        n_fill = int(fills.sum())
-        n_fill_hits = int((pre_res & fills).sum())
-        n_fills_new = n_fill - n_fill_hits
-        n_cpu_ops = len(kinds) - n_fill
-        n_cpu_hits = int((pre_res & ~fills).sum())
-        n_cpu_miss = n_cpu_ops - n_cpu_hits
-        stats.io_hits += n_fill_hits
-        stats.io_fills += n_fills_new
-        stats.cpu_hits += folded_hits + n_cpu_hits
-        if n_cpu_miss:
-            stats.cpu_misses += n_cpu_miss
-            self.traffic.reads += n_cpu_miss
-        if n_fills_new and self.telemetry is not None:
-            self.telemetry.on_dma_fill(n_fills_new)
-        if ev_pos is None:
-            return
-        dirty = int((ev_flags & LINE_DIRTY != 0).sum())
-        stats.writebacks += dirty
-        self.traffic.writes += dirty
-        victims_io = (ev_flags & LINE_IO) != 0
-        by_io = kinds[ev_pos] == 0
-        stats.io_evicted_io += int((by_io & victims_io).sum())
-        io_cpu = by_io & ~victims_io
-        n_io_cpu = int(io_cpu.sum())
-        if n_io_cpu:
-            stats.io_evicted_cpu += n_io_cpu
-            if self.telemetry is not None:
-                for line in ev_lines[io_cpu].tolist():
-                    self.telemetry.on_io_evict_cpu(int(line))
-        stats.cpu_evicted_io += int((~by_io & victims_io).sum())
+        stats.io_hits += counts.fill_hits
+        stats.io_fills += counts.new_fills
+        stats.cpu_hits += folded_hits + counts.cpu_hits
+        stats.cpu_misses += counts.cpu_misses
+        self.traffic.reads += counts.cpu_misses
+        stats.writebacks += counts.dirty_victims
+        self.traffic.writes += counts.dirty_victims
+        stats.io_evicted_io += counts.io_by_fill
+        stats.cpu_evicted_io += counts.io_by_cpu
+        stats.io_evicted_cpu += len(counts.cpu_by_fill)
+        if self.telemetry is not None:
+            if counts.new_fills:
+                self.telemetry.on_dma_fill(counts.new_fills)
+            for line in counts.cpu_by_fill:
+                self.telemetry.on_io_evict_cpu(line)
 
     # ------------------------------------------------------------------
     # Maintenance

@@ -31,7 +31,10 @@ lists the buffer blocks it reads, in order, and
 :meth:`~repro.cache.llc.SlicedLLC.cpu_access` at a time; the NIC's
 cross-frame burst path folds the same sequence into a footprint-op
 template (:meth:`IgbDriver._burst_template`) over the buffers' precomputed
-decompositions (:class:`RxTemplates`).  The scalar original is frozen in
+decompositions (:class:`RxTemplates`), and the engine applies a burst's
+concatenated templates in one call
+(:meth:`~repro.cache.engine.CacheEngine.rx_burst_apply`).  The scalar
+original is frozen in
 :mod:`repro.nic.legacy` and pinned bit-identical by
 ``tests/test_rx_equivalence.py``.
 """

@@ -16,7 +16,9 @@ between are delivered as a burst (:meth:`Nic.deliver_burst`): the driver's
 one receive description — its control flow and its touch sequence — is run
 per frame, then the whole burst's cache-op stream is applied in one engine
 call over the buffers' precomputed decompositions
-(:class:`repro.nic.driver.RxTemplates`, owned by the driver).  The
+(:class:`repro.nic.driver.RxTemplates`, owned by the driver): an in-order
+scalar pass for a short burst, rounds by within-set rank for a long one
+(:meth:`repro.cache.engine.CacheEngine.rx_burst_apply`).  The
 pre-batching path is frozen in :mod:`repro.nic.legacy` and pinned
 bit-identical by ``tests/test_rx_equivalence.py``.
 """
@@ -152,8 +154,9 @@ class Nic:
         cache state.  Phase 2 applies the concatenated cache-op stream of
         all frames, each frame's folded from the driver's touch sequence
         (:meth:`~repro.nic.driver.IgbDriver._burst_template`), in one
-        :meth:`~repro.cache.llc.SlicedLLC.rx_burst` engine call (a
-        round-by-rank kernel, see
+        :meth:`~repro.cache.llc.SlicedLLC.rx_burst` engine call (an
+        in-order pass below the engine's length switch, rounds by
+        within-set rank from it up, see
         :meth:`~repro.cache.engine.CacheEngine.rx_burst_apply`).
 
         A burst runs under one index mapping.  Frames are collected while

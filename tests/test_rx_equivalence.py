@@ -22,17 +22,28 @@ Skewed-index rows (DDIO on and off) and a row with an L1 hierarchy's
 back-invalidation hook installed pin the per-frame path under the policies
 the burst kernel declines; the latter also compares the line sequence the
 hook is passed.
+
+A burst is applied by one of two engine paths, chosen by its length: an
+in-order scalar pass for short bursts, the round-by-rank kernel for long
+ones.  ``test_burst_paths_agree`` runs every burst of a few MATRIX
+workloads through both from one engine snapshot, and cuts long bursts one
+op either side of the switch.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import random
+import sys
 
 import pytest
 
 import numpy as np
 
+from repro.cache import engine as engine_module
+from repro.cache.cacheset import LINE_IO
+from repro.cache.engine import CacheEngine
 from repro.cache.hierarchy import CacheHierarchy
 from repro.core.config import DDIOConfig, MachineConfig, RingConfig
 from repro.core.machine import Machine
@@ -74,11 +85,12 @@ def build_machine(
     copy_threshold: int = COPY,
     backend: str = "modulo",
     l1: bool = False,
+    ddio_ways: int | None = None,
 ) -> Machine:
     cfg = MachineConfig().scaled_down()
     cfg.cache_backend = backend
     cfg.ddio = DDIOConfig(
-        enabled=ddio, write_allocate_ways=cfg.ddio.write_allocate_ways
+        enabled=ddio, write_allocate_ways=ddio_ways or cfg.ddio.write_allocate_ways
     )
     cfg.ring = dataclasses.replace(cfg.ring, copy_threshold=copy_threshold)
     cfg.faults = get_profile(faults)
@@ -248,6 +260,184 @@ def test_bursts_actually_used():
         assert 0 < len(drained) < 200 / 2, backend
         # ... and their cache work went through the burst kernel.
         assert len(burst_ops) > 0 and sum(burst_ops) > 200, backend
+
+
+SWITCH = engine_module.ROUND_KERNEL_MIN_OPS
+WAYS = MachineConfig().scaled_down().cache.ways
+_APPLY = CacheEngine.rx_burst_apply
+
+
+def _clone(engine: CacheEngine) -> CacheEngine:
+    """An independent copy of ``engine``'s state."""
+    copy = CacheEngine(engine.n_sets, engine.ways)
+    copy.tags[:] = engine.tags
+    copy.flags[:] = engine.flags
+    copy.stamps[:] = engine.stamps
+    copy._size = list(engine._size)
+    copy._n_io = list(engine._n_io)
+    copy._dir = dict(engine._dir)
+    copy._tick = engine._tick
+    return copy
+
+
+def _same_engine(a: CacheEngine, b: CacheEngine) -> bool:
+    return (
+        np.array_equal(a.tags, b.tags)
+        and np.array_equal(a.flags, b.flags)
+        and np.array_equal(a.stamps, b.stamps)
+        and (a._size, a._n_io, a._dir, a._tick) == (b._size, b._n_io, b._dir, b._tick)
+    )
+
+
+def _apply_forced(engine: CacheEngine, burst: tuple, rounds: bool):
+    """``rx_burst_apply`` with the switch forced to one side."""
+    saved = engine_module.ROUND_KERNEL_MIN_OPS
+    engine_module.ROUND_KERNEL_MIN_OPS = 0 if rounds else sys.maxsize
+    try:
+        return _APPLY(engine, *burst)
+    finally:
+        engine_module.ROUND_KERNEL_MIN_OPS = saved
+
+
+def _prefix(burst: tuple, k: int) -> tuple:
+    """The first ``k`` ops of a burst, as a burst of their own."""
+    flats, lines, kinds, offs, _total, cap = burst
+    return flats[:k], lines[:k], kinds[:k], offs[:k], int(offs[:k].max()) + 1, cap
+
+
+# (MATRIX row, DDIO way cap, warm, victims the run must show): bursting
+# rows, the modulo row also at caps 1 and ``ways``; None keeps the row's
+# cap of 2.  ``warm`` first fills every set with dirty CPU lines.
+_IO_BY_FILL = "I/O victims of fills"
+_CPU_BY_FILL = "CPU victims of fills"
+_FREE_WAY = "cap evictions beside a free way"
+BURST_PATH_CASES = [
+    (MATRIX[0], None, False, (_IO_BY_FILL, _FREE_WAY)),
+    (MATRIX[0], None, True, (_IO_BY_FILL, _CPU_BY_FILL)),
+    (MATRIX[0], 1, True, (_IO_BY_FILL, _CPU_BY_FILL)),
+    (MATRIX[0], WAYS, True, (_CPU_BY_FILL,)),
+    (MATRIX[10], None, True, (_IO_BY_FILL, _CPU_BY_FILL)),
+    (MATRIX[11], None, True, (_IO_BY_FILL, _CPU_BY_FILL, _FREE_WAY)),
+]
+
+
+@pytest.mark.parametrize(
+    "row,ddio_ways,warm,victims",
+    BURST_PATH_CASES,
+    ids=[
+        f"{row[-1]}-copy={row[4]}-cap={ways or 2}" + ("-warm" if warm else "")
+        for row, ways, warm, _victims in BURST_PATH_CASES
+    ],
+)
+def test_burst_paths_agree(row, ddio_ways, warm, victims, monkeypatch):
+    """The in-order pass and the round kernel apply every burst of a MATRIX
+    workload alike: each burst runs through both, forced, from one engine
+    snapshot, and they must leave the same tags, flags, stamps, tick,
+    directory, per-set sizes and I/O counts and return the same counts.
+    Bursts that reach the switch are also cut one op either side of it,
+    where the unforced call must take the expected path and agree with
+    the other.  The run itself goes on through the unforced call, and it
+    must reach the round kernel: no experiment's burst does."""
+    ddio, faults, partition, randomize, copy_threshold, l1, n_frames, backend = row
+    m = build_machine(
+        False, ddio, faults, partition, randomize, copy_threshold, backend, l1,
+        ddio_ways=ddio_ways,
+    )
+    if warm:
+        geom = m.llc.geometry
+        size = 2 * geom.total_sets * geom.ways * geom.line_size
+        hog = m.new_process("hog")
+        base = hog.mmap(size // 4096)
+        hog.access_many(range(base, base + size, geom.line_size), write=True)
+    taken: collections.Counter = collections.Counter()
+    for name in ("_rx_in_order", "_rx_rounds"):
+        def counted(self, *args, name=name, method=getattr(CacheEngine, name)):
+            taken[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(CacheEngine, name, counted)
+    seen: collections.Counter = collections.Counter()
+    run_paths: collections.Counter = collections.Counter()
+
+    def checked(engine, *burst):
+        flats, lines, kinds = burst[:3]
+        in_order, rounds = _clone(engine), _clone(engine)
+        counts = _apply_forced(in_order, burst, rounds=False)
+        assert _apply_forced(rounds, burst, rounds=True) == counts
+        assert _same_engine(in_order, rounds)
+        seen["rounds"] = max(seen["rounds"], int(np.bincount(flats).max()))
+        seen["skb writes"] += int((kinds == 2).sum())
+        seen["dirty victims"] += counts.dirty_victims
+        seen[_IO_BY_FILL] += counts.io_by_fill
+        seen[_CPU_BY_FILL] += len(counts.cpu_by_fill)
+        _sets, firsts = np.unique(flats, return_index=True)
+        for i in firsts[kinds[firsts] == 0].tolist():
+            flat = int(flats[i])
+            flags = engine.flags_of(flat, int(lines[i]))
+            seen["fills hitting a CPU line"] += flags is not None and not flags & LINE_IO
+            seen[_FREE_WAY] += (
+                flags is None
+                and engine.io_count(flat) >= burst[-1]
+                and engine.size(flat) < engine.ways
+            )
+        if len(flats) >= SWITCH:
+            for k, path, other_is_rounds in (
+                (SWITCH - 1, "_rx_in_order", True),
+                (SWITCH, "_rx_rounds", False),
+            ):
+                cut = _prefix(burst, k)
+                dispatched, forced = _clone(engine), _clone(engine)
+                before = taken[path]
+                cut_counts = _APPLY(dispatched, *cut)
+                assert taken[path] == before + 1
+                assert _apply_forced(forced, cut, rounds=other_is_rounds) == cut_counts
+                assert _same_engine(dispatched, forced)
+                seen["switch edges"] += 1
+        before = taken["_rx_rounds"]
+        result = _APPLY(engine, *burst)
+        run_paths["rounds" if taken["_rx_rounds"] > before else "in order"] += 1
+        assert result == counts and _same_engine(engine, in_order)
+        return result
+
+    monkeypatch.setattr(CacheEngine, "rx_burst_apply", checked)
+    run_workload(m, seed=41, n_frames=n_frames)
+    assert run_paths["rounds"] and run_paths["in order"]
+    assert seen["switch edges"] and seen["rounds"] >= 3
+    for what in ("skb writes", "dirty victims", "fills hitting a CPU line", *victims):
+        assert seen[what], what
+
+
+def test_burst_paths_agree_on_random_streams():
+    """Random op streams on a 4-set, 4-way engine, where every branch of
+    both paths runs often — CPU ops evicting I/O lines among them, which
+    the rx workloads above never make.  Each burst runs through both
+    paths from one snapshot, at a DDIO cap from 1 to ``ways``; the run
+    goes on from their common result.  A flush of a random line between
+    bursts leaves free ways in front of occupied ones, where a cap
+    eviction's fill takes the free way."""
+    rng = np.random.default_rng(23)
+    engine = CacheEngine(4, 4)
+    seen: collections.Counter = collections.Counter()
+    for _ in range(400):
+        n = int(rng.integers(1, 40))
+        flats = rng.integers(0, 4, n)
+        burst = (
+            flats,
+            flats + 4 * rng.integers(0, 6, n),
+            rng.integers(0, 3, n).astype(np.uint8),
+            np.arange(n, dtype=np.int64),
+            n,
+            int(rng.integers(1, 5)),
+        )
+        other = _clone(engine)
+        counts = _apply_forced(engine, burst, rounds=False)
+        assert _apply_forced(other, burst, rounds=True) == counts
+        assert _same_engine(engine, other)
+        for field, value in counts._asdict().items():
+            seen[field] += value if isinstance(value, int) else len(value)
+        line = int(rng.integers(0, 24))
+        engine.invalidate(line % 4, line)
+    assert all(seen[field] for field in counts._fields), seen
 
 
 def test_templates_follow_the_keyed_epoch():
