@@ -1,15 +1,15 @@
-"""Hot-path benchmarks and the regression gate (``repro bench``).
+"""Hot-path benchmarks and the regression gate (``scripts/bench_hotpath.py``).
 
 Measures, on the bench-scale machine (256 monitored sets x 12 ways):
 
 * ``probe_sweep_ms``      — one timed PRIME+PROBE sweep through the packed
   engine (one batched machine call per sweep);
 * ``legacy_sweep_ms``     — the same timed sweep replayed per-line through
-  the frozen :class:`~repro.cache.legacy.LegacySlicedLLC`, i.e. the
+  the frozen :class:`~reference.cache.LegacySlicedLLC`, i.e. the
   pre-refactor cost of exactly the same accesses;
 * ``rx_frames_per_s`` / ``legacy_rx_frames_per_s`` — the batched rx
   datapath (burst drains handing whole frame groups to one vectorised
-  engine call) vs the frozen scalar one (:mod:`repro.nic.legacy`),
+  engine call) vs the frozen scalar one (:mod:`reference.nic`),
   delivering an identical MTU-heavy frame mix through the event queue;
   ``rx_direct_*`` isolates the per-frame ``nic.deliver`` path, and
   ``rx_short_*`` the short bursts of the ``scan`` workload's traffic;
@@ -23,7 +23,7 @@ Measures, on the bench-scale machine (256 monitored sets x 12 ways):
 * ``analysis_speedup``    — the columnar analysis pipeline (sequencer
   graph build + greedy walk, cyclic Levenshtein, batched correlation
   classification) vs the frozen scalar reference
-  (:mod:`repro.analysis.legacy` / :mod:`repro.attack.legacy_analysis`),
+  (:mod:`reference.analysis` / :mod:`reference.attack_analysis`),
   reported as a geometric mean of the three per-stage ratios;
 * ``fig6_seconds``        — end-to-end ``repro run fig6`` (100 driver
   inits through the sharded runner, serial).
@@ -41,8 +41,8 @@ when a hot path got slower relative to its unchanging legacy reference.
 
 Usage::
 
-    PYTHONPATH=src python -m repro.cli bench --out BENCH_hotpath.json
-    PYTHONPATH=src python scripts/bench_hotpath.py --check BENCH_hotpath.json
+    python scripts/bench_hotpath.py --out BENCH_hotpath.json
+    python scripts/bench_hotpath.py --check BENCH_hotpath.json
 """
 
 from __future__ import annotations
@@ -57,10 +57,10 @@ import time
 from repro.attack.evictionset import EvictionSet
 from repro.attack.primeprobe import ProbeMonitor
 from repro.attack.timing import LatencyThreshold
-from repro.cache.legacy import LegacySlicedLLC
+from reference.cache import LegacySlicedLLC
 from repro.core.config import MachineConfig
 from repro.core.machine import Machine
-from repro.nic.legacy import install_legacy_nic
+from reference.nic import install_legacy_nic
 
 N_SETS = 256
 HUGE_PAGES = 24
@@ -339,12 +339,12 @@ def bench_analysis(rounds: int) -> dict:
     import numpy as np
 
     from repro.analysis.correlation import CorrelationClassifier
-    from repro.analysis.legacy import (
+    from reference.analysis import (
         CorrelationClassifier as LegacyClassifier,
     )
-    from repro.analysis.legacy import cyclic_levenshtein as legacy_cyclic
+    from reference.analysis import cyclic_levenshtein as legacy_cyclic
     from repro.analysis.levenshtein import cyclic_levenshtein
-    from repro.attack.legacy_analysis import (
+    from reference.attack_analysis import (
         legacy_build_graph,
         legacy_make_sequence,
     )
@@ -562,7 +562,7 @@ def bench_ledger_record(result: dict):
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro bench", description=__doc__.split("\n\n")[0]
+        prog="bench_hotpath.py", description=__doc__.split("\n\n")[0]
     )
     parser.add_argument("--out", help="write results to this JSON file")
     parser.add_argument(

@@ -6,7 +6,7 @@ moved onto the batched cache-engine kernels: one ``llc.io_write`` /
 ``llc.cpu_access`` Python call per cache block, in the exact order the
 original code issued them.  They exist solely as the reference side of the
 differential harness (``tests/test_rx_equivalence.py``) and the rx
-benchmark (``repro.bench``), the same role :mod:`repro.cache.legacy` plays
+benchmark (``reference.bench``), the same role :mod:`reference.cache` plays
 for the cache engine.
 
 Production code must not import this module (``tests/test_import_graph.py``

@@ -1,13 +1,13 @@
 #!/usr/bin/env python
-"""Thin wrapper around :mod:`repro.bench` (kept for CI and muscle memory).
+"""Run the hot-path benchmarks and their regression gate.
 
-The benchmark suite lives in the package so ``repro bench`` can run it;
-see ``repro.bench`` for what is measured and how the gate works.
+The suite lives in :mod:`reference.bench`, beside the frozen references it
+measures against; see there for what is measured and how the gate works.
 
 Usage::
 
-    PYTHONPATH=src python scripts/bench_hotpath.py --out BENCH_hotpath.json
-    PYTHONPATH=src python scripts/bench_hotpath.py --check BENCH_hotpath.json
+    python scripts/bench_hotpath.py --out BENCH_hotpath.json
+    python scripts/bench_hotpath.py --check BENCH_hotpath.json
 """
 
 from __future__ import annotations
@@ -15,35 +15,12 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT / "src", _ROOT):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
-from repro.bench import (  # noqa: E402  (path setup first)
-    bench_analysis,
-    bench_backend_overhead,
-    bench_engine_sweeps,
-    bench_fig6,
-    bench_init,
-    bench_legacy_sweep,
-    bench_rx,
-    build_monitor,
-    main,
-    run_benchmarks,
-)
-
-__all__ = [
-    "bench_analysis",
-    "bench_backend_overhead",
-    "bench_engine_sweeps",
-    "bench_fig6",
-    "bench_init",
-    "bench_legacy_sweep",
-    "bench_rx",
-    "build_monitor",
-    "main",
-    "run_benchmarks",
-]
+from reference.bench import main  # noqa: E402  (path setup first)
 
 if __name__ == "__main__":
     raise SystemExit(main())

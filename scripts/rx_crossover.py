@@ -2,7 +2,7 @@
 """Time the two rx burst paths by burst length: the crossover behind
 ``repro.cache.engine.ROUND_KERNEL_MIN_OPS``.
 
-Runs the hot-path benchmark's rx stream (``repro.bench``: the MTU-heavy
+Runs the hot-path benchmark's rx stream (``reference.bench``: the MTU-heavy
 frame mix at 1 Mpps on the bench-scale machine, no spy) and keeps the
 engine state before a few of its long bursts.  Each burst's first ``k``
 ops are then applied from that state through the in-order pass and
@@ -11,7 +11,7 @@ every application, and the median times are printed per ``k``.
 
 Usage::
 
-    PYTHONPATH=src python scripts/rx_crossover.py
+    python scripts/rx_crossover.py
 """
 
 from __future__ import annotations
@@ -21,13 +21,14 @@ import sys
 import time
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT / "src", _ROOT):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import numpy as np  # noqa: E402  (path setup first)
 
-from repro.bench import _rx_frames, _rx_machine  # noqa: E402
+from reference.bench import _rx_frames, _rx_machine  # noqa: E402
 from repro.cache import engine as engine_module  # noqa: E402
 from repro.cache.engine import CacheEngine  # noqa: E402
 from repro.net.traffic import PatternStream  # noqa: E402

@@ -12,7 +12,7 @@ every (trace, representative) pair over every lag with one matrix product
 per lag instead of one ``np.dot`` per (pair, lag).  BLAS reassociates the
 reductions, so batched scores can differ from the scalar reference in the
 last float ulp — classification *decisions* (argmax with first-wins tie
-breaking) are pinned exactly against :mod:`repro.analysis.legacy`, scores
+breaking) are pinned exactly against :mod:`reference.analysis`, scores
 to within 1e-12 (``tests/test_analysis_equivalence.py``).
 """
 

@@ -12,7 +12,7 @@ and the sequential insertion recurrence ``d[j] = min(d[j], d[j-1] + 1)``
 collapses to a prefix minimum of ``d[j] - j`` (subtracting the column index
 turns the +1-per-step chain into a running minimum).  Integer arithmetic
 throughout, so results are bit-identical to the frozen scalar DP in
-:mod:`repro.analysis.legacy` — ``tests/test_analysis_equivalence.py`` pins
+:mod:`reference.analysis` — ``tests/test_analysis_equivalence.py`` pins
 that equivalence on randomized inputs.  ``cyclic_levenshtein`` and
 ``best_rotation`` batch *all* candidate rotations through one DP whose rows
 carry a rotation axis.  Elements must be hashable (callers pass ring

@@ -16,8 +16,6 @@ call per bit.  The block path reproduces the scalar stepper bit for bit
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 #: Taps for maximal-length sequences, by register width (x^w + x^t + 1).
@@ -117,10 +115,3 @@ def lfsr_symbols(count: int, alphabet: int, width: int = 15, seed: int = 0x5A5A)
         values = raw.reshape(need, bits_per) @ weights
         symbols.extend(int(v) for v in values[values < alphabet])
     return symbols
-
-
-def bit_iter(width: int = 15, seed: int = 0x5A5A) -> Iterator[int]:
-    """Infinite iterator over LFSR output bits."""
-    lfsr = LFSR(width=width, seed=seed)
-    while True:
-        yield lfsr.next_bit()

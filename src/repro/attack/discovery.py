@@ -32,9 +32,6 @@ class DiscoveredSet:
 class RingDiscovery:
     """Finds which page-aligned sets host rx buffers, and block-k sets."""
 
-    #: Base idle backoff (cycles) between retry scans; doubles per attempt.
-    RETRY_BACKOFF_CYCLES = 200_000
-
     def __init__(self, process, page_aligned_groups: list[EvictionSet]) -> None:
         if not page_aligned_groups:
             raise ValueError("no page-aligned groups supplied")
@@ -45,34 +42,6 @@ class RingDiscovery:
         """Probe all page-aligned groups for ``n_samples`` sweeps."""
         monitor = ProbeMonitor(self.process, self.groups)
         return monitor.sample(n_samples, wait_cycles)
-
-    def scan_until_active(
-        self,
-        n_samples: int,
-        wait_cycles: int,
-        min_activity: float = 0.02,
-        max_attempts: int = 3,
-    ) -> tuple[SampleTrace, list["DiscoveredSet"]]:
-        """Scan with bounded retry-with-backoff when nothing lights up.
-
-        Under injected loss or a traffic lull a whole scan can come back
-        dark; rather than letting the caller fail on an empty set list,
-        retry after an exponentially growing idle (giving queued traffic
-        time to arrive).  Returns the last trace and whatever active sets
-        it showed — possibly an empty list, which callers must tolerate
-        (graceful degradation, not an exception).
-        """
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        trace = self.scan(n_samples, wait_cycles)
-        active = self.active_sets(trace, min_activity)
-        for attempt in range(max_attempts - 1):
-            if active:
-                break
-            self.process.machine.idle(self.RETRY_BACKOFF_CYCLES << attempt)
-            trace = self.scan(n_samples, wait_cycles)
-            active = self.active_sets(trace, min_activity)
-        return trace, active
 
     def active_sets(
         self, trace: SampleTrace, min_activity: float = 0.02

@@ -16,10 +16,10 @@ then reconstructs the *order* in which the ring's buffers fill:
    taking the heaviest unvisited successor, until the walk returns to the
    root or the edge weight falls below the cutoff.
 
-``recover_full_ring`` repeats the procedure with a sliding window of known
-sets plus one candidate, placing every monitored set into the ring
-(Section III-C: "we repeat the SEQUENCER procedure with the first 31 nodes
-plus a candidate node").
+The paper (Section III-C) places every set of a larger ring by repeating
+the procedure over a sliding window of 31 known sets plus one candidate.
+The experiments here sequence their monitored sets in one window, so that
+extension is not modelled.
 """
 
 from __future__ import annotations
@@ -260,71 +260,3 @@ class Sequencer:
                 replaced_sets=self._replaced_sets,
             )
         return sequence, trace
-
-
-def place_candidate(master: list[int], window: list[int], candidate: int) -> list[int]:
-    """Insert ``candidate`` into ``master`` using a recovered ``window``.
-
-    ``window`` is a sequence over known elements plus ``candidate``; the
-    candidate is inserted between the neighbours it was observed between.
-    Returns a new list (master unchanged if the window never placed it).
-    """
-    if candidate not in window:
-        return list(master)
-    pos = window.index(candidate)
-    before = window[pos - 1] if pos > 0 else None
-    after = window[(pos + 1) % len(window)] if len(window) > 1 else None
-    out = list(master)
-    if before is not None:
-        for i, element in enumerate(out):
-            nxt = out[(i + 1) % len(out)] if out else None
-            if element == before and (after is None or nxt == after):
-                out.insert(i + 1, candidate)
-                return out
-        # Fall back: first occurrence of `before`.
-        for i, element in enumerate(out):
-            if element == before:
-                out.insert(i + 1, candidate)
-                return out
-    out.append(candidate)
-    return out
-
-
-def recover_full_ring(
-    process,
-    groups: list[EvictionSet],
-    config: SequencerConfig | None = None,
-    window_size: int = 32,
-    replacement_provider=None,
-) -> list[int]:
-    """Sequence *all* monitored groups by sliding-window extension.
-
-    First recovers the order of the initial ``window_size`` groups, then
-    repeatedly sequences 31 known sets plus one new candidate to place every
-    remaining group (Section III-C).  Returns indices into ``groups``.
-    """
-    config = config or SequencerConfig()
-    if len(groups) <= window_size:
-        sequencer = Sequencer(process, groups, config, replacement_provider)
-        sequence, _trace = sequencer.recover()
-        return sequence
-
-    base = groups[:window_size]
-    sequencer = Sequencer(process, base, config, replacement_provider)
-    master, _trace = sequencer.recover()
-    for cand_idx in range(window_size, len(groups)):
-        known = list(dict.fromkeys(master))[: window_size - 1]
-        window_groups = [groups[i] for i in known] + [groups[cand_idx]]
-        if len(window_groups) < 3:
-            # Too few placed sets to form a window (a lossy run recovered
-            # almost nothing): append unplaced rather than abort the ring.
-            master = master + [cand_idx]
-            continue
-        sub = Sequencer(process, window_groups, config, replacement_provider)
-        window_seq, _ = sub.recover()
-        # Translate window-local indices back to master indices.
-        translated = [
-            known[i] if i < len(known) else cand_idx for i in window_seq
-        ]
-        master = place_candidate(master, translated, cand_idx)
-    return master

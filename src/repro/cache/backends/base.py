@@ -35,7 +35,7 @@ numpy vectors and Python ints wrap identically.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,6 +199,3 @@ class IndexMapping:
     def partition_of(self, line: int) -> int:
         """Way-partition id of a line (0 when unpartitioned)."""
         return 0
-
-    def describe(self) -> str:
-        return self.name

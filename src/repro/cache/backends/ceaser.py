@@ -85,6 +85,3 @@ class KeyedMapping(IndexMapping):
             base.astype(np.uint64), tags, self._round_keys, self.flat_bits
         )
         return out.astype(np.int64)
-
-    def describe(self) -> str:
-        return f"keyed(epoch={self.epoch_period})"

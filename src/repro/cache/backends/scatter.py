@@ -97,6 +97,3 @@ class SkewedMapping(IndexMapping):
                 base[sel], tags[sel], self._round_keys[p], self.flat_bits
             ).astype(np.int64)
         return out
-
-    def describe(self) -> str:
-        return f"skewed(partitions={self.n_partitions})"

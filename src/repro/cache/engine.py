@@ -1,7 +1,7 @@
 """Packed array-backed storage for every set of the sliced LLC.
 
 The legacy model kept one ``OrderedDict`` per cache set (see
-:mod:`repro.cache.legacy`), which makes every simulated access a Python
+:mod:`reference.cache`), which makes every simulated access a Python
 dict operation and every :class:`~repro.core.machine.Machine` construction
 an allocation of 16384 dicts.  :class:`CacheEngine` replaces that with flat
 arrays shared by *all* sets:
@@ -112,12 +112,6 @@ class CacheEngine:
         self._dir: dict[int, int] = {}
         self._tick = 0
         self._line_span = 1 << 58
-
-    # ------------------------------------------------------------------
-    # Key encoding
-    # ------------------------------------------------------------------
-    def _key(self, flat: int, line: int) -> int:
-        return flat * self._line_span + line
 
     # ------------------------------------------------------------------
     # Scalar lookups
@@ -588,17 +582,17 @@ class CacheEngine:
         n_io_l = self._n_io
         for sel in rounds:
             if sel is None:
-                f, l, k = flats, lines, kinds
+                f, ln, k = flats, lines, kinds
             else:
                 f = flats[sel]
-                l = lines[sel]
+                ln = lines[sel]
                 k = kinds[sel]
             tag_rows = self.tags2[f]
-            eq = tag_rows == l[:, None]
+            eq = tag_rows == ln[:, None]
             way = eq.argmax(axis=1)
             # argmax returns 0 for an all-False row; one 1-D gather
             # distinguishes hits (cheaper than a row-wise ``any``).
-            hit = tag_rows[np.arange(len(f)), way] == l
+            hit = tag_rows[np.arange(len(f)), way] == ln
             if sel is None:
                 hit_all = hit
             else:
@@ -642,7 +636,7 @@ class CacheEngine:
                 ev_io = (e_flags & LINE_IO) != 0
                 for flat, line, evl, eio, w, isf in zip(
                     mflats.tolist(),
-                    l[m_idx].tolist(),
+                    ln[m_idx].tolist(),
                     e_lines.tolist(),
                     ev_io.tolist(),
                     way_m.tolist(),
@@ -682,7 +676,7 @@ class CacheEngine:
                 k[nonread] == 0, LINE_IO | LINE_DIRTY, LINE_DIRTY
             ).astype(np.uint8)
             self.flags[nr_idx] = self.flags[nr_idx] | bits
-            self.tags[idx] = l
+            self.tags[idx] = ln
             offs = stamp_offs if sel is None else stamp_offs[sel]
             self.stamps[idx] = offs + base_stamp
         fill = kinds == 0

@@ -143,8 +143,9 @@ class CacheHierarchy:
                 if evicted is not None and evicted[1] & LINE_DIRTY:
                     # Dirty L1 writeback lands in the (inclusive) LLC copy.
                     victim = evicted[0]
-                    llc_set = llc.sets[llc.flat_set_of(victim << llc_shift)]
-                    llc_set.touch(victim, set_dirty=True)
+                    llc.engine.touch(
+                        llc.flat_set_of(victim << llc_shift), victim, set_dirty=True
+                    )
             paddr += step
             done += 1
         l1.stats.cpu_hits += hits

@@ -26,13 +26,13 @@ line ever, not once per access.
 
 An optional *partition* object (the Section VII defense) takes over victim
 selection; see :mod:`repro.defense.partitioning`.  The pre-engine model is
-preserved verbatim in :mod:`repro.cache.legacy` for differential testing.
+preserved verbatim in :mod:`reference.cache` for differential testing.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -43,87 +43,6 @@ from repro.cache.slicehash import IntelComplexHash, SliceHash
 from repro.cache.stats import CacheStats
 from repro.core.config import CacheGeometry, DDIOConfig, TimingParams
 from repro.mem.physmem import DramTraffic
-
-
-class SetView:
-    """A per-set façade over the packed engine, API-compatible with the
-    legacy :class:`~repro.cache.cacheset.CacheSet`.
-
-    Consumers that reason about one set at a time — the L1 hierarchy's
-    dirty-writeback touch, tests, introspection — keep working unchanged;
-    every operation executes on the shared flat arrays.
-    """
-
-    __slots__ = ("engine", "flat", "ways")
-
-    def __init__(self, engine: CacheEngine, flat: int) -> None:
-        self.engine = engine
-        self.flat = flat
-        self.ways = engine.ways
-
-    def __len__(self) -> int:
-        return self.engine.size(self.flat)
-
-    def __contains__(self, line_addr: int) -> bool:
-        return self.engine.contains(self.flat, line_addr)
-
-    @property
-    def io_count(self) -> int:
-        return self.engine.io_count(self.flat)
-
-    @property
-    def cpu_count(self) -> int:
-        return self.engine.cpu_count(self.flat)
-
-    @property
-    def lines(self) -> dict[int, int]:
-        """line -> flags in LRU-to-MRU order (recency order, like legacy)."""
-        return dict(self.engine.lines_in_lru_order(self.flat))
-
-    def touch(self, line_addr: int, set_dirty: bool = False) -> bool:
-        return self.engine.touch(self.flat, line_addr, set_dirty=set_dirty)
-
-    def flags_of(self, line_addr: int) -> int | None:
-        return self.engine.flags_of(self.flat, line_addr)
-
-    def insert(self, line_addr: int, flags: int) -> tuple[int, int] | None:
-        return self.engine.insert(self.flat, line_addr, flags)
-
-    def evict_lru(self) -> tuple[int, int]:
-        return self.engine.evict_lru(self.flat)
-
-    def evict_lru_of(self, io: bool) -> tuple[int, int] | None:
-        return self.engine.evict_lru_of(self.flat, io)
-
-    def invalidate(self, line_addr: int) -> int | None:
-        return self.engine.invalidate(self.flat, line_addr)
-
-    def mark_io(self, line_addr: int) -> None:
-        self.engine.mark_io(self.flat, line_addr)
-
-    def occupancy(self) -> tuple[int, int]:
-        return self.cpu_count, self.io_count
-
-
-class _SetViews:
-    """Lazy indexable sequence of :class:`SetView` (``llc.sets[flat]``)."""
-
-    __slots__ = ("engine",)
-
-    def __init__(self, engine: CacheEngine) -> None:
-        self.engine = engine
-
-    def __len__(self) -> int:
-        return self.engine.n_sets
-
-    def __getitem__(self, flat: int) -> SetView:
-        if not -self.engine.n_sets <= flat < self.engine.n_sets:
-            raise IndexError(flat)
-        return SetView(self.engine, flat % self.engine.n_sets)
-
-    def __iter__(self) -> Iterator[SetView]:
-        for flat in range(self.engine.n_sets):
-            yield SetView(self.engine, flat)
 
 
 class SlicedLLC:
@@ -180,7 +99,6 @@ class SlicedLLC:
             )
         self._part_ways = self.geometry.ways // self.mapping.n_partitions
         self.engine = CacheEngine(self.geometry.total_sets, self.geometry.ways)
-        self.sets = _SetViews(self.engine)
         self.stats = CacheStats()
         #: Observability: set by Machine when telemetry is installed; every
         #: hook below guards on ``is not None`` so the untelemetered hot
@@ -221,10 +139,6 @@ class SlicedLLC:
             flat = self.mapping.flat_of(paddr, line)
             self._flat_memo[line] = flat
         return flat
-
-    def line_addr_of(self, paddr: int) -> int:
-        """Line-aligned address (tag identity used inside sets)."""
-        return paddr >> self._offset_bits
 
     def decompose_many(self, paddrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised ``(flat_set, line)`` decomposition of an address array.

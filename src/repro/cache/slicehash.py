@@ -41,15 +41,9 @@ class SliceHash(ABC):
     def slice_of(self, paddr: int) -> int:
         """Slice id (0 .. n_slices-1) for physical address ``paddr``."""
 
+    @abstractmethod
     def slice_of_many(self, paddrs: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`slice_of` over an int64 address array.
-
-        Subclasses override with true numpy kernels; this fallback keeps
-        custom hashes correct (one Python call per address).
-        """
-        return np.fromiter(
-            (self.slice_of(int(p)) for p in paddrs), np.int64, count=len(paddrs)
-        )
+        """Vectorised :meth:`slice_of` over an int64 address array."""
 
 
 class IntelComplexHash(SliceHash):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.counters import CounterStats
 
@@ -40,20 +40,3 @@ class CacheStats(CounterStats):
     # reset / snapshot / from_snapshot / merge / delta come from
     # CounterStats; NicStats and DriverStats share the same machinery.
 
-
-@dataclass
-class SetActivity:
-    """Per-set activity trace used by figure-style experiments.
-
-    Records, for a chosen window, how many fills landed in each flat set id.
-    The experiments behind Figs. 5-8 use this on the *victim* side as ground
-    truth to compare against what the attacker recovers by probing.
-    """
-
-    fills: dict[int, int] = field(default_factory=dict)
-
-    def record(self, flat_set: int) -> None:
-        self.fills[flat_set] = self.fills.get(flat_set, 0) + 1
-
-    def reset(self) -> None:
-        self.fills.clear()

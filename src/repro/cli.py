@@ -11,8 +11,6 @@ Usage::
     python -m repro run randomized-cache        # 'run' alias for a name
     python -m repro backends list               # cache index backends
     python -m repro fig10 --backend keyed:epoch=50000
-    python -m repro bench --skip-fig6   # hot-path benchmarks + gate
-                                        # (see repro.bench for options)
     python -m repro report fig6         # signal-quality dashboard from the
                                         # run ledger (repro.telemetry.report)
 
@@ -79,41 +77,39 @@ EXIT_PARTIAL = 6  # completed with <= --max-failed-shards failed shards
 class ExperimentDef:
     """One runnable experiment: how to invoke it and how to cache it.
 
-    ``sharded`` experiments thread the runner through to their trial loop
-    and cache per phase internally; the rest have no trial fan-out, so the
-    CLI wraps them in :meth:`ExperimentRunner.run_cached` keyed by
-    ``params`` — either way a warm ``all`` rerun executes nothing.
+    ``run`` is called as ``run(config=..., **params)``, plus ``runner=``
+    when ``sharded``.  Sharded experiments thread the runner through to
+    their trial loop and cache per phase internally; the rest have no
+    trial fan-out, so the CLI wraps them in
+    :meth:`ExperimentRunner.run_cached` keyed by ``params`` — either way a
+    warm ``all`` rerun executes nothing.
     """
 
     description: str
     params: dict
-    run: Callable[[MachineConfig, ExperimentRunner], Any]
+    run: Callable[..., Any]
     sharded: bool = False
 
 
 EXPERIMENTS: dict[str, ExperimentDef] = {
     "fig5": ExperimentDef(
-        "buffer-to-set mapping, one driver init",
-        params={},
-        run=lambda cfg, runner: exp.run_fig5(cfg),
+        "buffer-to-set mapping, one driver init", params={}, run=exp.run_fig5
     ),
     "fig6": ExperimentDef(
         "buffers-per-set histogram over many inits",
         params={"instances": 100},
-        run=lambda cfg, runner: exp.run_fig6(instances=100, config=cfg, runner=runner),
+        run=exp.run_fig6,
         sharded=True,
     ),
     "fig7": ExperimentDef(
         "page-aligned footprint: idle vs receiving",
         params={"n_samples": 250, "huge_pages": 4},
-        run=lambda cfg, runner: exp.run_fig7(cfg, n_samples=250, huge_pages=4),
+        run=exp.run_fig7,
     ),
     "fig8": ExperimentDef(
         "cache footprint vs packet size",
         params={"n_samples": 100, "huge_pages": 4, "n_buffers": 6},
-        run=lambda cfg, runner: exp.run_fig8(
-            cfg, n_samples=100, huge_pages=4, n_buffers=6
-        ),
+        run=exp.run_fig8,
     ),
     "table1": ExperimentDef(
         "ring sequence recovery (Algorithm 1)",
@@ -124,50 +120,35 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
             "probe_rate_hz": 16_000,
             "huge_pages": 4,
         },
-        run=lambda cfg, runner: exp.run_table1(
-            cfg,
-            n_monitored=16,
-            n_samples=4000,
-            packet_rate=15_000,
-            probe_rate_hz=16_000,
-            huge_pages=4,
-        ),
+        run=exp.run_table1,
     ),
     "fig10": ExperimentDef(
         "covert decode of the '201' pattern",
         params={"n_symbols": 24, "huge_pages": 4},
-        run=lambda cfg, runner: exp.run_fig10(cfg, n_symbols=24, huge_pages=4),
+        run=exp.run_fig10,
     ),
     "fig11": ExperimentDef(
         "covert capacity: binary/ternary x probe rate",
         params={"n_symbols": 50, "huge_pages": 4},
-        run=lambda cfg, runner: exp.run_fig11(
-            cfg, n_symbols=50, huge_pages=4, runner=runner
-        ),
+        run=exp.run_fig11,
         sharded=True,
     ),
     "fig12ab": ExperimentDef(
         "multi-buffer covert capacity",
-        params={"buffer_counts": [1, 2, 4, 8], "n_symbols": 48, "huge_pages": 4},
-        run=lambda cfg, runner: exp.run_fig12_multibuffer(
-            cfg, buffer_counts=(1, 2, 4, 8), n_symbols=48, huge_pages=4, runner=runner
-        ),
+        params={"buffer_counts": (1, 2, 4, 8), "n_symbols": 48, "huge_pages": 4},
+        run=exp.run_fig12_multibuffer,
         sharded=True,
     ),
     "fig12cd": ExperimentDef(
         "full chasing channel vs send rate",
         params={"n_symbols": 150, "huge_pages": 4},
-        run=lambda cfg, runner: exp.run_fig12_chase(
-            cfg, n_symbols=150, huge_pages=4, runner=runner
-        ),
+        run=exp.run_fig12_chase,
         sharded=True,
     ),
     "fig13": ExperimentDef(
         "login success/failure trace recovery",
         params={"huge_pages": 4, "trace_length": 80},
-        run=lambda cfg, runner: exp.run_fig13_login(
-            cfg, huge_pages=4, trace_length=80
-        ),
+        run=exp.run_fig13_login,
     ),
     "accuracy": ExperimentDef(
         "website fingerprinting accuracy, DDIO on/off",
@@ -177,75 +158,64 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
             "huge_pages": 4,
             "trace_length": 80,
         },
-        run=lambda cfg, runner: exp.run_fingerprint_accuracy(
-            cfg,
-            train_loads=3,
-            trials_per_site=4,
-            huge_pages=4,
-            trace_length=80,
-            runner=runner,
-        ),
+        run=exp.run_fingerprint_accuracy,
         sharded=True,
     ),
     "fig14": ExperimentDef(
         "Nginx throughput: DDIO vs adaptive partitioning",
         params={"n_requests": 500},
-        run=lambda cfg, runner: exp.run_fig14(cfg, n_requests=500),
+        run=exp.run_fig14,
     ),
     "fig15": ExperimentDef(
         "memory traffic + miss rate per cache variant",
         params={"copy_kb": 512, "tcp_packets": 1000, "nginx_requests": 300},
-        run=lambda cfg, runner: exp.run_fig15(
-            cfg, copy_kb=512, tcp_packets=1000, nginx_requests=300
-        ),
+        run=exp.run_fig15,
     ),
     "fig16": ExperimentDef(
         "tail latency per defense scheme",
         params={"n_requests": 2000},
-        run=lambda cfg, runner: exp.run_fig16(cfg, n_requests=2000),
+        run=exp.run_fig16,
     ),
     "ablation-ring": ExperimentDef(
         "ring size as a mitigation",
         params={},
-        run=lambda cfg, runner: exp.run_ring_size_ablation(cfg, runner=runner),
+        run=exp.run_ring_size_ablation,
         sharded=True,
     ),
     "ablation-interval": ExperimentDef(
         "partial randomization interval vs chase quality",
         params={},
-        run=lambda cfg, runner: exp.run_randomization_interval_ablation(
-            cfg, runner=runner
-        ),
+        run=exp.run_randomization_interval_ablation,
         sharded=True,
     ),
     "ablation-ddio-ways": ExperimentDef(
         "DDIO allocation limit vs covert error",
         params={},
-        run=lambda cfg, runner: exp.run_ddio_ways_ablation(cfg, runner=runner),
+        run=exp.run_ddio_ways_ablation,
         sharded=True,
     ),
     "ablation-probe-rate": ExperimentDef(
         "probe rate vs sequence recovery error",
         params={},
-        run=lambda cfg, runner: exp.run_probe_rate_ablation(cfg, runner=runner),
+        run=exp.run_probe_rate_ablation,
         sharded=True,
     ),
     "ablation-noise": ExperimentDef(
         "fault-injection intensity vs covert bit recovery",
         params={},
-        run=lambda cfg, runner: exp.run_noise_ablation(cfg, runner=runner),
+        run=exp.run_noise_ablation,
         sharded=True,
     ),
     "drift-resilience": ExperimentDef(
         "adaptive recovery vs time-varying fault schedules",
         params={},
-        run=lambda cfg, runner: exp.run_drift_resilience(cfg, runner=runner),
+        run=exp.run_drift_resilience,
         sharded=True,
     ),
     "randomized-cache": ExperimentDef(
         "randomized-index backends vs the full attack pipeline",
         params={"n_samples": 600, "n_symbols": 24, "huge_pages": 8},
-        run=lambda cfg, runner: exp.run_randomized_cache(cfg, runner=runner),
+        run=exp.run_randomized_cache,
         sharded=True,
     ),
 }
@@ -464,10 +434,13 @@ def run_one(
     history_start = len(runner.history)
     try:
         if definition.sharded:
-            result = definition.run(config, runner)
+            result = definition.run(config=config, runner=runner, **definition.params)
         else:
             result = runner.run_cached(
-                name, config, definition.params, lambda: definition.run(config, runner)
+                name,
+                config,
+                definition.params,
+                lambda: definition.run(config=config, **definition.params),
             )
     except Exception as error:
         wall = time.time() - start
@@ -615,16 +588,11 @@ def _write_telemetry(
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "bench":
-        # The benchmark suite has its own option surface (see repro.bench);
-        # dispatch before experiment parsing so `repro bench --check ...`
-        # does not collide with experiment flags.
-        from repro.bench import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "report":
-        # Same deal: `repro report [exp]` reads the run ledger and renders
-        # the signal-quality dashboard (see repro.telemetry.report).
+        # `repro report [exp]` has its own option surface: it reads the run
+        # ledger and renders the signal-quality dashboard (see
+        # repro.telemetry.report).  Dispatch before experiment parsing so
+        # its flags do not collide with experiment flags.
         from repro.telemetry.report import report_main
 
         return report_main(argv[1:])

@@ -156,7 +156,7 @@ class Machine:
         #: simulated time — the traffic sources use this to deliver frame
         #: bursts without one heap round-trip per frame.  Set False to
         #: force the scalar per-event path (the frozen reference NIC of
-        #: :mod:`repro.nic.legacy` does: it has no burst path).
+        #: :mod:`reference.nic` does: it has no burst path).
         self.allow_bursts = True
         #: Seeded fault injection (None when cfg.faults is all-zero, in
         #: which case no fault machinery exists and behaviour is
@@ -190,7 +190,7 @@ class Machine:
     def _wire_nic(self, driver_cls, nic_cls, shared_page_prob, log_receives, node):
         """Build the rx ring and wire a driver and NIC of the given classes
         onto it, seeded from the machine seed (the frozen reference path,
-        :func:`repro.nic.legacy.install_legacy_nic`, shares the seeds)."""
+        :func:`reference.nic.install_legacy_nic`, shares the seeds)."""
         from repro.nic.ring import RxRing
 
         if self.nic is not None:

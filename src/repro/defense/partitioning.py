@@ -21,7 +21,7 @@ Since the engine refactor the partition operates directly on the packed
 representation: every hook receives the flat set id and performs its
 victim selection and boundary invalidations through the LLC's
 :class:`~repro.cache.engine.CacheEngine`.  The pre-engine cset-based
-variant is frozen in :mod:`repro.cache.legacy` for differential testing.
+variant is frozen in :mod:`reference.cache` for differential testing.
 """
 
 from __future__ import annotations

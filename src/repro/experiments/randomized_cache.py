@@ -84,12 +84,6 @@ class RandomizedCacheResult:
 
     variants: list[VariantMetrics] = field(default_factory=list)
 
-    def by_name(self, name: str) -> VariantMetrics:
-        for v in self.variants:
-            if v.name == name:
-                return v
-        raise KeyError(name)
-
     def headline_metrics(self) -> dict[str, float]:
         headline: dict[str, float] = {}
         for v in self.variants:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 

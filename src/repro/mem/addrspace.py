@@ -108,8 +108,3 @@ class AddressSpace:
     def is_mapped(self, vaddr: int) -> bool:
         """Whether ``vaddr`` falls on a mapped page."""
         return (vaddr // self.page_size) in self._page_table
-
-    @property
-    def mapped_pages(self) -> int:
-        """Number of mapped 4 KB pages."""
-        return len(self._page_table)

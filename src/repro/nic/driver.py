@@ -35,7 +35,7 @@ decompositions (:class:`RxTemplates`), and the engine applies a burst's
 concatenated templates in one call
 (:meth:`~repro.cache.engine.CacheEngine.rx_burst_apply`).  The scalar
 original is frozen in
-:mod:`repro.nic.legacy` and pinned bit-identical by
+:mod:`reference.nic` and pinned bit-identical by
 ``tests/test_rx_equivalence.py``.
 """
 

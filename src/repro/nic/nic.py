@@ -19,7 +19,7 @@ call over the buffers' precomputed decompositions
 (:class:`repro.nic.driver.RxTemplates`, owned by the driver): an in-order
 scalar pass for a short burst, rounds by within-set rank for a long one
 (:meth:`repro.cache.engine.CacheEngine.rx_burst_apply`).  The
-pre-batching path is frozen in :mod:`repro.nic.legacy` and pinned
+pre-batching path is frozen in :mod:`reference.nic` and pinned
 bit-identical by ``tests/test_rx_equivalence.py``.
 """
 

@@ -44,10 +44,6 @@ class LatencyReport:
         raw = percentiles(self.latencies_cycles, points)
         return {p: v * cycle_ms for p, v in raw.items()}
 
-    def mean_ms(self) -> float:
-        cycle_ms = 1000.0 / self.frequency_hz
-        return sum(self.latencies_cycles) / len(self.latencies_cycles) * cycle_ms
-
 
 class LoadGenerator:
     """Constant-rate open-loop driver for a request server.

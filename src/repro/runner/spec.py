@@ -121,12 +121,3 @@ class ShardPlan:
                 )
             )
         return cls(spec=spec, root_seed=root_seed, shards=tuple(shards))
-
-    @property
-    def n_trials(self) -> int:
-        return self.spec.n_trials
-
-    def trial_seed(self, trial_index: int) -> int:
-        """Seed of one global trial index (for tests and serial callers)."""
-        shard = self.shards[trial_index // self.spec.trials_per_shard]
-        return shard.trial_seeds[trial_index - shard.start]

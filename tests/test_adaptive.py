@@ -20,7 +20,7 @@ from repro.attack.adaptive import (
     AdaptiveSupervisor,
 )
 from repro.attack.timing import CalibrationResult, calibrate_threshold
-from repro.core.config import FaultConfig, MachineConfig
+from repro.core.config import MachineConfig
 from repro.core.machine import Machine
 from repro.faults import (
     FAULT_SCHEDULES,

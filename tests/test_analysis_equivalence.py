@@ -36,14 +36,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import legacy as LEGACY
+from reference import analysis as LEGACY
 from repro.analysis.correlation import (
     CorrelationClassifier,
     cross_correlation,
     cross_correlation_many,
 )
 from repro.analysis.lfsr import LFSR, lfsr_bits, lfsr_symbols
-from repro.attack.legacy_analysis import (
+from reference.attack_analysis import (
     legacy_activity_counts,
     legacy_activity_fraction,
     legacy_block_scores,

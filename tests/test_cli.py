@@ -38,7 +38,7 @@ class TestExitStatus:
     def test_failure_is_collected_and_exits_nonzero(
         self, monkeypatch, capsys, cache_dir
     ):
-        def explode(cfg, runner):
+        def explode(config):
             raise RuntimeError("synthetic experiment failure")
 
         _tiny_registry(
@@ -56,7 +56,7 @@ class TestExitStatus:
     def test_single_failing_experiment_exits_one(
         self, monkeypatch, capsys, cache_dir
     ):
-        def explode(cfg, runner):
+        def explode(config):
             raise RuntimeError("boom")
 
         _tiny_registry(
@@ -128,11 +128,11 @@ class TestAdaptiveAndFaultFlags:
             def format_rows(self):
                 return ["  probe ran"]
 
-        def probe(cfg, runner):
-            seen["adaptive"] = cfg.adaptive
-            seen["schedule"] = cfg.faults.schedule if cfg.faults else None
+        def probe(config):
+            seen["adaptive"] = config.adaptive
+            seen["schedule"] = config.faults.schedule if config.faults else None
             seen["scale"] = (
-                cfg.faults.probe_jitter_cycles if cfg.faults else None
+                config.faults.probe_jitter_cycles if config.faults else None
             )
             return _Rows()
 

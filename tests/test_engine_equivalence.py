@@ -17,7 +17,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.cache.legacy import LegacyAdaptivePartition, LegacySlicedLLC
+from reference.cache import LegacyAdaptivePartition, LegacySlicedLLC
 from repro.cache.llc import SlicedLLC
 from repro.cache.slicehash import IntelComplexHash, ModuloSliceHash
 from repro.core.config import CacheGeometry, DDIOConfig
@@ -127,7 +127,7 @@ def test_batched_access_equivalence(ddio_enabled):
         paddrs = np.asarray(batch, dtype=np.int64)
         hits, lats = new.access_many(paddrs, write=write)
         want = [old.cpu_access(p, write=write) for p in batch]
-        assert [(bool(h), int(l)) for h, l in zip(hits, lats)] == want
+        assert [(bool(h), int(lat)) for h, lat in zip(hits, lats)] == want
         assert_same_state(new, old)
 
 
@@ -192,7 +192,7 @@ def test_batched_access_with_cached_decomp():
     for _ in range(20):
         hits, lats = new.access_many(paddrs, decomp=decomp)
         want = [old.cpu_access(int(p)) for p in paddrs]
-        assert [(bool(h), int(l)) for h, l in zip(hits, lats)] == want
+        assert [(bool(h), int(lat)) for h, lat in zip(hits, lats)] == want
         for _ in range(10):
             paddr = rng.randrange(GEOMETRY.total_sets * 2) * 64
             new.io_write(paddr)

@@ -64,7 +64,6 @@ class TestHierarchy:
 
     def test_inclusion_back_invalidation(self, hierarchy, llc):
         hierarchy.access(0x3000)
-        line = 0x3000 >> 6
         assert hierarchy.l1.access(0x3000)
         llc.invalidate_set_lines(llc.flat_set_of(0x3000), io=False)
         # Inclusive: the L1 copy must be gone too.
@@ -99,5 +98,5 @@ class TestHierarchy:
         h.access(0x6000, write=True)
         span = h.l1.n_sets * 64
         h.access(0x6000 + span)  # evicts the dirty L1 line
-        flags = llc.sets[llc.flat_set_of(0x6000)].flags_of(0x6000 >> 6)
+        flags = llc.engine.flags_of(llc.flat_set_of(0x6000), 0x6000 >> 6)
         assert flags is not None and flags & LINE_DIRTY

@@ -1,9 +1,11 @@
-"""The frozen reference modules stay out of the production import graph.
+"""The frozen references stay out of the installed package.
 
-``repro.nic.legacy``, ``repro.cache.legacy``, ``repro.analysis.legacy`` and
-``repro.attack.legacy_analysis`` are the frozen scalar sides of the
-differential tests and of ``repro bench``.  This scans every module under
-``src/repro`` and checks that nothing else imports them.
+The frozen scalar sides of the differential tests and the hot-path bench
+live in the top-level ``reference`` package, which setuptools does not
+install.  This scans every module under ``src/repro`` and ``reference/``
+and checks that only the bench imports the frozen modules, that nothing
+under ``src/repro`` imports ``reference`` at all, and that no frozen
+module is left in the package.
 """
 
 from __future__ import annotations
@@ -13,21 +15,21 @@ from pathlib import Path
 
 import repro
 
-FROZEN = {
-    "repro.nic.legacy",
-    "repro.cache.legacy",
-    "repro.analysis.legacy",
-    "repro.attack.legacy_analysis",
-}
-
-#: (importer, frozen module) pairs allowed besides ``repro.bench``: none.
-ALLOWED: set[tuple[str, str]] = set()
-
 PACKAGE = Path(repro.__file__).resolve().parent
+REFERENCE = PACKAGE.parent.parent / "reference"
+
+#: Paths under ``src/repro`` that must hold no frozen module.
+MOVED = (
+    "bench.py",
+    "cache/legacy.py",
+    "nic/legacy.py",
+    "analysis/legacy.py",
+    "attack/legacy_analysis.py",
+)
 
 
-def _module_name(path: Path) -> str:
-    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+def _module_name(path: Path, root: Path) -> str:
+    parts = path.relative_to(root.parent).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
@@ -50,31 +52,34 @@ def _imported(path: Path, module: str) -> set[str]:
     return names
 
 
-def frozen_imports() -> set[tuple[str, str]]:
-    """``(importer, frozen module)`` for every import of a frozen module."""
+def reference_imports(root: Path) -> set[tuple[str, str]]:
+    """``(importer, imported)`` for every import of ``reference`` or one of
+    its modules by a module under ``root``."""
     edges = set()
-    for path in sorted(PACKAGE.rglob("*.py")):
-        module = _module_name(path)
+    for path in sorted(root.rglob("*.py")):
+        module = _module_name(path, root)
         for name in _imported(path, module):
-            for frozen in FROZEN:
-                if name == frozen or name.startswith(frozen + "."):
-                    edges.add((module, frozen))
+            if name == "reference" or name.startswith("reference."):
+                edges.add((module, name))
     return edges
 
 
 def test_only_the_benchmark_imports_frozen_modules():
-    stray = {
-        (importer, frozen)
-        for importer, frozen in frozen_imports()
-        if importer != "repro.bench" and (importer, frozen) not in ALLOWED
-    }
+    stray = reference_imports(PACKAGE)
     assert not stray, f"production modules import frozen references: {sorted(stray)}"
+    importers = {importer for importer, _ in reference_imports(REFERENCE)}
+    assert importers == {"reference.bench"}
+
+
+def test_no_frozen_module_is_left_in_the_package():
+    left = [name for name in MOVED if (PACKAGE / name).exists()]
+    assert not left, f"frozen modules still under src/repro: {left}"
 
 
 def test_scan_sees_the_known_imports():
     """The scan finds the imports it is meant to police (so an empty
     result above is not a parsing blind spot)."""
-    edges = frozen_imports()
-    assert ("repro.bench", "repro.cache.legacy") in edges
-    assert ("repro.bench", "repro.nic.legacy") in edges
-    assert ALLOWED <= edges
+    edges = reference_imports(REFERENCE)
+    assert ("reference.bench", "reference.cache") in edges
+    assert ("reference.bench", "reference.nic") in edges
+    assert ("reference.bench", "reference.attack_analysis") in edges

@@ -255,7 +255,7 @@ class TestRunnerEmission:
 
 class TestBenchRecords:
     def test_bench_ledger_record_shape(self):
-        from repro.bench import bench_ledger_record
+        from reference.bench import bench_ledger_record
 
         record = bench_ledger_record(
             {"sweep_speedup": 9.0, "rx_speedup": 3.0, "rounds": 5, "junk": "x"}
@@ -266,7 +266,7 @@ class TestBenchRecords:
         assert record.trials == 5
 
     def test_bench_record_appends_and_scans(self, tmp_path):
-        from repro.bench import bench_ledger_record
+        from reference.bench import bench_ledger_record
 
         ledger = RunLedger(tmp_path)
         ledger.append(bench_ledger_record({"sweep_speedup": 9.0}))

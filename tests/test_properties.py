@@ -73,9 +73,10 @@ class TestLLCProperties:
     def test_ddio_cap_invariant(self, ops):
         llc = SlicedLLC(geometry=SMALL_GEOMETRY, ddio=DDIOConfig(write_allocate_ways=2))
         run_ops(llc, ops)
-        for cset in llc.sets:
-            assert cset.io_count <= 2
-            assert len(cset) <= cset.ways
+        engine = llc.engine
+        for flat in range(engine.n_sets):
+            assert engine.io_count(flat) <= 2
+            assert engine.size(flat) <= engine.ways
 
     @given(op_streams)
     @settings(max_examples=50, deadline=None)
@@ -103,8 +104,8 @@ class TestLLCProperties:
         llc.partition = partition
         run_ops(llc, ops)
         assert llc.stats.io_evicted_cpu == 0
-        for flat, cset in enumerate(llc.sets):
-            assert cset.io_count <= partition.config.max_quota
+        for flat in range(llc.engine.n_sets):
+            assert llc.engine.io_count(flat) <= partition.config.max_quota
 
     @given(st.lists(st.integers(0, 1 << 24), min_size=1, max_size=100))
     @settings(max_examples=50)

@@ -250,6 +250,81 @@ class TestHookSites:
         )
 
 
+class TestReportHookSites:
+    """Each report-level hook site records what OBSERVABILITY.md documents:
+    ``quality.evset.*``, ``quality.covert.*`` and ``quality.fingerprint.*``."""
+
+    def test_cluster_index_report_records_evset_metrics(self):
+        from repro.attack.evictionset import EvictionSetBuilder
+
+        telemetry = Telemetry.create(trace=False, metrics=True)
+        with session(telemetry):
+            _, spy, threshold = _calibrated_machine(MachineConfig().scaled_down())
+            builder = EvictionSetBuilder(spy, threshold, huge_pages=4)
+            report = builder.cluster_index_report(0)
+        snap = telemetry.metrics.snapshot()
+        counters = snap["counters"]
+        assert report.groups
+        assert counters["quality.evset.reports"] == 1
+        assert counters["quality.evset.groups"] == len(report.groups)
+        assert counters["quality.evset.expected_groups"] == report.expected
+        assert counters["quality.evset.retries"] == report.retries
+        assert counters["quality.evset.failed_reductions"] == (
+            report.failed_reductions
+        )
+        assert snap["gauges"]["quality.evset.confidence_last"] == report.confidence
+        assert snap["histograms"]["quality.evset.confidence"]["count"] == 1
+
+    def test_evaluate_channel_records_covert_metrics(self):
+        from repro.analysis.capacity import evaluate_channel
+
+        telemetry = Telemetry.create(trace=False, metrics=True)
+        with session(telemetry):
+            report = evaluate_channel(
+                [0, 1, 2, 0, 1, 2], [0, 2, 0, 1, 1], elapsed_seconds=0.5, alphabet=3
+            )
+        snap = telemetry.metrics.snapshot()
+        counters = snap["counters"]
+        assert counters["quality.covert.symbols_sent"] == 6
+        assert counters["quality.covert.symbols_received"] == 5
+        assert counters["quality.covert.substitutions"] == report.substitutions
+        assert counters["quality.covert.insertions"] == report.insertions
+        assert counters["quality.covert.deletions"] == report.deletions
+        assert report.edit_distance > 0
+        gauges = snap["gauges"]
+        assert gauges["quality.covert.error_rate_last"] == report.error_rate
+        assert gauges["quality.covert.bandwidth_bps_last"] == report.bandwidth_bps
+        assert snap["histograms"]["quality.covert.error_rate"]["count"] == 1
+
+    def test_fingerprint_accuracy_records_confusion_cells(self):
+        from repro.experiments.fingerprinting import run_fingerprint_accuracy
+
+        telemetry = Telemetry.create(trace=False, metrics=True)
+        with session(telemetry):
+            result = run_fingerprint_accuracy(
+                MachineConfig().scaled_down(),
+                train_loads=1,
+                trials_per_site=1,
+                huge_pages=4,
+                trace_length=40,
+                noise_pps=200.0,
+            )
+        counters = telemetry.metrics.snapshot()["counters"]
+        for suffix, confusion in (
+            ("ddio", result.confusion_ddio),
+            ("no_ddio", result.confusion_no_ddio),
+        ):
+            prefix = f"quality.fingerprint.{suffix}"
+            total = sum(confusion.values())
+            assert total == len(result.sites)
+            assert counters[f"{prefix}.trials"] == total
+            assert counters[f"{prefix}.correct"] == sum(
+                count for (true, pred), count in confusion.items() if true == pred
+            )
+            for (true, pred), count in confusion.items():
+                assert counters[f"{prefix}.confusion.{true}->{pred}"] == count
+
+
 N_PROBES = 10
 N_SETS = 4
 

@@ -436,11 +436,11 @@ class _FakeResult:
 
 
 def _fake_definition(shard_fn, **params) -> ExperimentDef:
-    def run(cfg, runner):
+    def run(config, runner, **params):
         spec = TrialSpec(
             "fake-chaos", n_trials=3, trials_per_shard=1, params=params
         )
-        return runner.run(spec, cfg, shard_fn, _FakeResult)
+        return runner.run(spec, config, shard_fn, _FakeResult)
 
     return ExperimentDef("synthetic chaos target", params=params, run=run, sharded=True)
 

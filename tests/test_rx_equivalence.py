@@ -52,7 +52,7 @@ from repro.defense.randomization import FullRandomizer, PartialRandomizer
 from repro.faults.profiles import get_profile
 from repro.net.packet import Frame
 from repro.net.traffic import PoissonNoise, TrafficSource
-from repro.nic.legacy import install_legacy_nic
+from reference.nic import install_legacy_nic
 
 SIZES = [60, 64, 120, 128, 192, 256, 300, 512, 700, 1024, 1200, 1400, 1514]
 COPY = RingConfig().copy_threshold

@@ -97,7 +97,7 @@ class TestClaimRestartInvalidatesKnowledge:
         machine = build_machine()
         spy = machine.new_process("spy")
         factory = MonitorFactory(machine, spy, calibrate_threshold(spy), huge_pages=4)
-        monitor = factory.buffer_monitor(0, blocks=(0,), include_alt=False)
+        factory.buffer_monitor(0, blocks=(0,), include_alt=False)
         old_sets = {
             machine.llc.flat_set_of(b.dma_paddr) for b in machine.ring.buffers
         }

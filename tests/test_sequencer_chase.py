@@ -9,7 +9,7 @@ from repro.attack.groundtruth import (
     buffers_per_page_aligned_set,
     true_group_sequence,
 )
-from repro.attack.sequencer import Sequencer, SequencerConfig, place_candidate
+from repro.attack.sequencer import Sequencer, SequencerConfig
 from repro.attack.setup import MonitorFactory, spaced_positions, unique_buffer_positions
 from repro.net.traffic import ConstantStream
 
@@ -87,23 +87,6 @@ class TestSequencer:
         graph = sequencer.build_graph(trace)
         for (prev, curr), successors in graph.items():
             assert prev != curr or (prev, curr) == (0, 0)
-
-
-class TestPlaceCandidate:
-    def test_inserts_between_neighbours(self):
-        master = [1, 2, 3, 4]
-        window = [2, 9, 3]
-        assert place_candidate(master, window, 9) == [1, 2, 9, 3, 4]
-
-    def test_appends_when_unplaced(self):
-        assert place_candidate([1, 2], [1, 2], 9) == [1, 2]
-        assert place_candidate([1, 2], [9], 9) == [1, 2, 9]
-
-    def test_wraparound_neighbour(self):
-        master = [1, 2, 3]
-        window = [3, 9, 1]
-        result = place_candidate(master, window, 9)
-        assert result.index(9) == result.index(3) + 1
 
 
 class TestChasing:

@@ -274,7 +274,7 @@ class TestEventQueueTombstones:
     def test_tombstones_dropped_lazily_on_pop(self):
         q = EventQueue()
         fired = []
-        keep = q.schedule(5, lambda: fired.append("keep"))
+        q.schedule(5, lambda: fired.append("keep"))
         for t in (1, 2, 3):
             q.schedule(t, lambda: fired.append("cancelled")).cancel()
         assert len(q) == 1

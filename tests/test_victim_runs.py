@@ -52,7 +52,7 @@ def _reference_hierarchy_access(hierarchy, paddr: int, write: bool, now: int) ->
         line_addr, flags = evicted
         if flags & LINE_DIRTY:
             victim_paddr = line_addr << llc.geometry.offset_bits
-            llc.sets[llc.flat_set_of(victim_paddr)].touch(line_addr, set_dirty=True)
+            llc.engine.touch(llc.flat_set_of(victim_paddr), line_addr, set_dirty=True)
     return hierarchy.timing.l1_hit_latency + llc_latency
 
 
