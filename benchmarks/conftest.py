@@ -7,14 +7,6 @@ suite completes in minutes; EXPERIMENTS.md records the scaling and the
 measured-vs-paper comparison for each entry.
 """
 
-import sys
-from pathlib import Path
-
-# Source-checkout fallback, mirroring tests/conftest.py.
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
-
 import pytest
 
 from repro.core.config import MachineConfig

@@ -50,7 +50,7 @@ def capture(n_frames: int = 4000) -> tuple[CacheEngine, list]:
     def keep(self, *burst):
         seen[0] += 1
         if seen[0] > 3 and len(kept) < N_BURSTS and len(burst[0]) >= LENGTHS[-1]:
-            kept.append((save(self), tuple(np.copy(a) for a in burst[:4]) + burst[4:]))
+            kept.append((save(self), tuple(list(a) for a in burst[:4]) + burst[4:]))
         return _APPLY(self, *burst)
 
     CacheEngine.rx_burst_apply = keep
@@ -102,7 +102,7 @@ def main() -> int:
         for k in LENGTHS:
             in_order, rounds = [], []
             for state, (flats, lines, kinds, offs, _total, cap) in kept:
-                burst = (flats[:k], lines[:k], kinds[:k], offs[:k], int(offs[:k].max()) + 1, cap)
+                burst = (flats[:k], lines[:k], kinds[:k], offs[:k], max(offs[:k]) + 1, cap)
                 in_order.append(time_path(engine, state, burst, False, flush))
                 rounds.append(time_path(engine, state, burst, True, flush))
             a, b = statistics.median(in_order) * 1e6, statistics.median(rounds) * 1e6

@@ -373,18 +373,21 @@ class CacheEngine:
 
     def rx_burst_apply(
         self,
-        flats: np.ndarray,
-        lines: np.ndarray,
-        kinds: np.ndarray,
-        stamp_offs: np.ndarray,
+        flats: list[int],
+        lines: list[int],
+        kinds: list[int],
+        stamp_offs: list[int],
         total_ops: int,
         io_cap: int,
     ) -> RxBurstCounts:
         """Apply a multi-frame rx burst's cache-op stream; return its counts.
 
-        The caller (the NIC's drained-burst path) has already flattened a
-        sequence of received frames into one ordered stream of *footprint*
-        ops — ``kinds`` 0 = DMA fill, 1 = CPU read, 2 = CPU write — where
+        The caller (the NIC's drained-burst path, through
+        :meth:`repro.cache.llc.SlicedLLC.rx_burst`) has already flattened
+        a sequence of received frames into one ordered stream of
+        *footprint* ops, as parallel lists of Python ints (a directory key,
+        ``flat * 2**58 + line``, overflows int64) — ``kinds`` 0 = DMA
+        fill, 1 = CPU read, 2 = CPU write — where
         the driver's re-touches of lines its own frame just filled are
         *folded away*: they can never miss, so only their tick positions
         matter, and ``stamp_offs[i]`` carries the 0-based position of the
@@ -404,9 +407,10 @@ class CacheEngine:
         final, frames are appended in arrival order).
 
         A burst of fewer than :data:`ROUND_KERNEL_MIN_OPS` ops runs as one
-        in-order scalar pass (:meth:`_rx_in_order`); a longer one runs in
-        rounds by within-set rank (:meth:`_rx_rounds`), whose fixed numpy
-        cost per round pays only on long bursts.  Both leave the same
+        in-order scalar pass over the lists (:meth:`_rx_in_order`); a
+        longer one runs in rounds by within-set rank (:meth:`_rx_rounds`)
+        over arrays of them, whose fixed numpy cost per round pays only
+        on long bursts.  Both leave the same
         state and return the same :class:`RxBurstCounts`, pinned by
         ``tests/test_rx_equivalence.py``.
         """
@@ -419,10 +423,10 @@ class CacheEngine:
 
     def _rx_in_order(
         self,
-        flats: np.ndarray,
-        lines: np.ndarray,
-        kinds: np.ndarray,
-        stamp_offs: np.ndarray,
+        flats: list[int],
+        lines: list[int],
+        kinds: list[int],
+        stamp_offs: list[int],
         io_cap: int,
     ) -> RxBurstCounts:
         """The burst as one pass in stream order: one directory lookup per
@@ -440,9 +444,7 @@ class CacheEngine:
         fill_hits = new_fills = cpu_hits = cpu_misses = 0
         dirty = io_by_fill = io_by_cpu = 0
         cpu_by_fill: list[int] = []
-        for flat, line, kind, off in zip(
-            flats.tolist(), lines.tolist(), kinds.tolist(), stamp_offs.tolist()
-        ):
+        for flat, line, kind, off in zip(flats, lines, kinds, stamp_offs):
             way = directory.get(flat * span + line)
             if way is not None:
                 slot = flat * ways + way
@@ -523,10 +525,10 @@ class CacheEngine:
 
     def _rx_rounds(
         self,
-        flats: np.ndarray,
-        lines: np.ndarray,
-        kinds: np.ndarray,
-        stamp_offs: np.ndarray,
+        flats: list[int],
+        lines: list[int],
+        kinds: list[int],
+        stamp_offs: list[int],
         io_cap: int,
     ) -> RxBurstCounts:
         """The burst in rounds by within-set rank.
@@ -545,6 +547,9 @@ class CacheEngine:
         Same-set ops are listed in ascending position order, so a stable
         sort on ``flats`` alone yields the rank.
         """
+        flats, lines, kinds, stamp_offs = (
+            np.asarray(a, dtype=np.int64) for a in (flats, lines, kinds, stamp_offs)
+        )
         ways = self.ways
         n = len(flats)
         base_stamp = self._tick + 1

@@ -19,10 +19,12 @@ what the engine deliberately does not: DDIO way caps, partition
 victim-selection hooks, telemetry hooks, :class:`CacheStats` attribution
 and DRAM-traffic accounting.  On top of the scalar paths it exposes
 :meth:`access_many`, the batched kernel PRIME+PROBE sweeps ride
-(see PERFORMANCE.md), :meth:`rx_burst`, which applies a multi-frame rx
-burst in one engine call and books the counts it returns, and a memoized
-per-line slice/set decomposition so the complex hash is evaluated once per
-line ever, not once per access.
+(see PERFORMANCE.md), :meth:`rx_burst`, which decomposes a multi-frame rx
+burst's lines, applies the burst in one engine call and books the counts
+it returns, and a memoized per-line slice/set decomposition so the
+complex hash is evaluated once per line ever, not once per access.  The
+LLC is the one place that maps lines to sets: callers that cache a
+decomposition key it on :attr:`mapping_epoch`.
 
 An optional *partition* object (the Section VII defense) takes over victim
 selection; see :mod:`repro.defense.partitioning`.  The pre-engine model is
@@ -32,7 +34,7 @@ preserved verbatim in :mod:`reference.cache` for differential testing.
 from __future__ import annotations
 
 import sys
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -78,10 +80,9 @@ class SlicedLLC:
                 backend, self.geometry, self.slice_hash, seed=seed
             )
         #: Epoch counter, bumped on every re-key.  Consumers holding
-        #: decomposition caches key on it (the rx path's
-        #: :class:`~repro.nic.driver.RxTemplates`, eviction sets and
-        #: sweeps), so the ``decomp`` hints they pass the access paths
-        #: below are current when a call starts.
+        #: decomposition caches key on it (eviction sets and sweeps), so
+        #: the ``decomp`` hints they pass the access paths below are
+        #: current when a call starts.
         self.mapping_epoch = 0
         self._epochal = self.mapping.epoch_period > 0
         self._epoch_period = self.mapping.epoch_period
@@ -145,10 +146,10 @@ class SlicedLLC:
 
         One numpy pass through the slice hash — no per-address Python.
         Under an epochal backend the per-line memo fronts the mapping:
-        callers without a cached hint (and hint holders refreshing after
-        a re-key) decompose the same lines many times per epoch, and the
-        memo, reseeded with every resident line at each re-key, spares
-        them the keyed permutation.
+        callers without a cached hint (every rx burst, and hint holders
+        refreshing after a re-key) decompose the same lines many times
+        per epoch, and the memo, reseeded with every resident line at
+        each re-key, spares them the keyed permutation.
         """
         paddrs = np.asarray(paddrs, dtype=np.int64)
         lines = paddrs >> self._offset_bits
@@ -184,23 +185,6 @@ class SlicedLLC:
             return sys.maxsize
         return max(0, self._epoch_period - self._access_count)
 
-    def memoize_many(self, paddrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`decompose_many` for a batch the memo mostly lacks: one
-        ``flats_of_many`` call, then one memo update with every line.
-
-        The memo only ever holds the current mapping's flats, so this
-        leaves it holding exactly what the per-line lookups of
-        :meth:`decompose_many` would under an epochal backend.  The
-        re-key seeds the memo with every resident line this way, and the
-        rx templates (:class:`~repro.nic.driver.RxTemplates`) refresh
-        through it after each re-key.
-        """
-        paddrs = np.asarray(paddrs, dtype=np.int64)
-        lines = paddrs >> self._offset_bits
-        flats = self.mapping.flats_of_many(paddrs, lines)
-        self._flat_memo.update(zip(lines.tolist(), flats.tolist()))
-        return flats, lines
-
     def _rekey(self, now: int) -> None:
         """Install fresh index keys and remap every resident line.
 
@@ -231,9 +215,11 @@ class SlicedLLC:
         self.mapping.advance_epoch()
         self.mapping_epoch += 1
         # One vectorised pass maps every resident line under the fresh
-        # keys and seeds the memo wholesale.
+        # keys and seeds the memo wholesale: it then holds exactly what
+        # per-line lookups through :meth:`decompose_many` would leave.
+        flats = self.mapping.flats_of_many(lines << self._offset_bits, lines)
         self._flat_memo.clear()
-        flats, _ = self.memoize_many(lines << self._offset_bits)
+        self._flat_memo.update(zip(lines.tolist(), flats.tolist()))
         dropped = engine.reload(flats, lines, flags)
         n_dirty = int((flags[dropped] & LINE_DIRTY != 0).sum())
         self.stats.invalidations += len(dropped)
@@ -313,11 +299,16 @@ class SlicedLLC:
         stamped ``tick + 1 + its position``, so tags, flags, stamps and
         the tick end exactly as a loop of :meth:`cpu_access` leaves them.
 
-        With ``until`` (a cycle; the batch starts at ``now``) the call
-        runs only the longest prefix whose accesses all start before
-        ``until``, taking a sure hit to cost ``llc_hit_latency + extra``
-        and any other access ``llc_miss_latency + extra`` (``extra`` is
-        what the caller adds per access, e.g. timer overhead).  Under an
+        The batch starts at cycle ``now``, and each access at the cycle
+        the loop would issue it: ``now`` plus the latency and ``extra``
+        (what the caller adds per access, e.g. timer overhead) of every
+        access before it.  A replay passes :meth:`cpu_access` its own
+        start cycle, which a partition's presence clock reads.
+
+        With ``until`` (a cycle) the call runs only the longest prefix
+        whose accesses all start before ``until``, taking a sure hit to
+        cost ``llc_hit_latency + extra`` and any other access
+        ``llc_miss_latency + extra``.  Under an
         epochal backend it also stops where the mapping re-keys; the next
         call re-keys at its first access.  The returned arrays cover the
         prefix.  Without ``until`` the whole batch runs, and a batch a
@@ -351,7 +342,9 @@ class SlicedLLC:
                 hits = np.empty(n, dtype=bool)
                 lats = np.empty(n, dtype=np.int64)
                 for i, paddr in enumerate(paddrs.tolist()):
-                    hits[i], lats[i] = self.cpu_access(paddr, write=write, now=now)
+                    hits[i], lat = self.cpu_access(paddr, write=write, now=now)
+                    lats[i] = lat
+                    now += lat + extra
                 return hits, lats
             m = min(n, m)
         miss_cost = timing.llc_miss_latency + extra
@@ -393,10 +386,16 @@ class SlicedLLC:
             engine.touch_many(flats[sure], ways[sure], set_dirty=write, positions=sure)
             self.stats.cpu_hits += n_sure
         done = 0
+        step = hit_latency + extra
+        late = 0  # what earlier replays cost beyond a hit
         for i, paddr in zip(replays.tolist(), paddrs[replays].tolist()):
             if i > done:
                 engine.skip(i - done)
-            hits[i], lats[i] = self.cpu_access(paddr, write=write, now=now)
+            hits[i], lat = self.cpu_access(
+                paddr, write=write, now=now + i * step + late
+            )
+            lats[i] = lat
+            late += lat - hit_latency
             done = i + 1
         engine.skip(k - done)
         return hits, lats
@@ -499,18 +498,18 @@ class SlicedLLC:
             self._retire(engine.evict_lru(flat), by_io=True)
         engine.insert(flat, line, LINE_IO | LINE_DIRTY)
 
-    def io_write_many(self, paddrs: np.ndarray, now: int = 0) -> None:
+    def io_write_many(self, paddrs: Iterable[int], now: int = 0) -> None:
         """One frame's inbound DMA: a loop of :meth:`io_write` over
-        ``paddrs`` in order.  Multi-frame bursts take :meth:`rx_burst`."""
-        for paddr in paddrs.tolist():
+        ``paddrs`` (Python ints) in order.  Multi-frame bursts take
+        :meth:`rx_burst`."""
+        for paddr in paddrs:
             self.io_write(paddr, now)
 
     def rx_burst(
         self,
-        flats: np.ndarray,
-        lines: np.ndarray,
-        kinds: np.ndarray,
-        stamp_offs: np.ndarray,
+        lines: list[int],
+        kinds: list[int],
+        stamp_offs: list[int],
         total_ops: int,
         folded_hits: int,
     ) -> None:
@@ -518,21 +517,23 @@ class SlicedLLC:
 
         The NIC's drained-burst path (:meth:`repro.nic.nic.Nic.
         deliver_burst`) hands over the flattened footprint-op stream of
-        many back-to-back frames — see :meth:`CacheEngine.rx_burst_apply`
-        for the encoding and its two paths, an in-order pass for short
-        bursts and rounds by within-set rank for long ones.  The engine
-        returns the burst's counts, which this adds to the stats, the
-        DRAM traffic and the telemetry.  ``folded_hits`` counts the driver
-        re-touches of same-frame lines that were folded into
-        ``stamp_offs`` (guaranteed hits, attributed here).  ``total_ops``
-        is the burst's LLC access count, the same as the per-frame
-        path's.
+        many back-to-back frames as plain lists of Python ints: the line
+        address, kind and stamp offset of every op — see
+        :meth:`CacheEngine.rx_burst_apply` for the encoding and its two
+        paths, an in-order pass for short bursts and rounds by within-set
+        rank for long ones.  ``folded_hits`` counts the driver re-touches
+        of same-frame lines that were folded into ``stamp_offs``
+        (guaranteed hits, attributed here).  ``total_ops`` is the burst's
+        LLC access count, the same as the per-frame path's.
 
         Raises, with no state touched, when :meth:`supports_rx_burst`
         does not hold or the burst would reach a re-key
         (:meth:`accesses_until_rekey`): a burst runs under one mapping,
         and the caller delivers the frame that reaches the re-key on its
-        own.
+        own.  So one :meth:`decompose_many` call, under the current
+        mapping, places every line of the burst; the engine returns the
+        burst's counts, which this adds to the stats, the DRAM traffic
+        and the telemetry.
         """
         if not self.supports_rx_burst():
             raise RuntimeError(
@@ -544,6 +545,8 @@ class SlicedLLC:
                 f"{total_ops} burst accesses cross the re-key "
                 f"{self.accesses_until_rekey()} accesses ahead"
             )
+        paddrs = np.asarray(lines, dtype=np.int64) << self._offset_bits
+        flats = self.decompose_many(paddrs)[0].tolist()
         counts = self.engine.rx_burst_apply(
             flats, lines, kinds, stamp_offs, total_ops, self.ddio.write_allocate_ways
         )

@@ -268,10 +268,12 @@ class Machine:
         ahead, so the access after ``run_due`` always runs, also when an
         event's action moved the clock past another pending event.
 
-        The per-access loop remains for two cases: an active partition
-        (its presence clocks read the advancing ``clock.now`` on every
-        fill), and timed accesses under an active fault plan (measurement
-        jitter draws stay per access).
+        The per-access loop remains only for timed accesses under an
+        active fault plan: measurement jitter draws stay per access.  A
+        partition rides the batch: its victim choice and presence clock
+        touch only the missing access's set, each replay is handed its
+        own start cycle, and its adaptation tick is an event, which
+        bounds the batch.
 
         ``decomp`` optionally carries the caller's ``(flats, lines)``
         decomposition of ``paddrs``, current when the call starts (see
@@ -287,14 +289,11 @@ class Machine:
         n = len(paddrs)
         out = np.empty(n, dtype=np.int64)
         faults = self.faults
-        if llc.partition is not None or (timed and faults is not None):
+        if timed and faults is not None:
             for i, paddr in enumerate(paddrs.tolist()):
                 events.run_due(clock.now)
                 lat = llc.cpu_access(paddr, write=write, now=clock.now)[1]
-                if timed:
-                    lat += overhead
-                    if faults is not None:
-                        lat += faults.probe_jitter()
+                lat += overhead + faults.probe_jitter()
                 clock.advance(lat)
                 out[i] = lat
             return out

@@ -13,12 +13,15 @@ Frame events are *burst-capable*: when the machine's event loop finds one
 at the head of the queue with no other event pending before it would
 matter, it hands the source the whole window up to the next foreign event
 (see ``Machine._run_pending``) and :meth:`TrafficSource._drain` delivers
-frames back-to-back — one heap round-trip per *burst* instead of per
-frame.  The drain bails back to per-event scheduling whenever the
-interleaving could be observable: injected faults, DDIO off (receives go
-through the event queue), or an active cache partition.  Each frame is
-still delivered at exactly the cycle and in exactly the iterator/RNG
-order of the scalar path, which ``tests/test_rx_equivalence.py`` pins.
+the window's frames as batches — one heap round-trip and one NIC call per
+*burst* instead of per frame.  One gate decides whether it may:
+``Nic.can_batch`` (no fault plan, and a cache policy the burst kernel
+models).  Otherwise the drain delivers the one frame its event was for and
+schedules the next, as the scalar path does: faulted, DDIO-off,
+partitioned, skewed-index and eviction-hook machines all go through the
+heap.  Each frame is still delivered at exactly the cycle and in exactly
+the iterator/RNG order of the scalar path, which
+``tests/test_rx_equivalence.py`` pins.
 """
 
 from __future__ import annotations
@@ -40,14 +43,6 @@ _BATCH_MAX = 128
 class TrafficSource(ABC):
     """Base class: generates frames and schedules them onto a machine."""
 
-    #: Whether :meth:`_frames` is pure with respect to simulation state: it
-    #: must not read machine/cache/ring state and must not share an RNG
-    #: with any machine component.  All built-in sources qualify.  A pure
-    #: iterator may be drawn a batch ahead of the deliveries during a
-    #: burst drain; subclasses whose generators observe the simulation
-    #: must set this False to keep draw-vs-delivery interleaving scalar.
-    pure_frames = True
-
     def __init__(self, link: LinkConfig | None = None) -> None:
         self.link = link or LinkConfig()
         self.sent = 0
@@ -58,7 +53,14 @@ class TrafficSource(ABC):
 
     @abstractmethod
     def _frames(self) -> Iterator[tuple[float, Frame]]:
-        """Yield ``(gap_seconds, frame)`` pairs; gap precedes the frame."""
+        """Yield ``(gap_seconds, frame)`` pairs; gap precedes the frame.
+
+        The iterator must be pure with respect to simulation state: it
+        must not read machine, cache or ring state, nor share an RNG with
+        any machine component.  A burst drain draws it up to a batch
+        ahead of the deliveries, so an iterator that observed the
+        simulation would see it out of step.
+        """
 
     def attach(self, machine, nic, start_at: int | None = None) -> None:
         """Begin delivering frames via ``machine.events`` into ``nic``.
@@ -111,59 +113,40 @@ class TrafficSource(ABC):
         self._deliver_pending()
         self._schedule_next(self._machine.clock.now)
 
-    def _burstable(self) -> bool:
-        """True when back-to-back delivery cannot change observable state.
-
-        Faults may drop/stall/jitter per frame; with DDIO off the driver
-        receive and payload touches go through the event queue (so frames
-        must interleave with them through the heap); a cache partition is
-        an intervening actor the harness pins via the scalar path.
-        """
-        machine = self._machine
-        llc = machine.llc
-        return (
-            machine.faults is None
-            and llc.ddio.enabled
-            and llc.partition is None
-        )
-
     def _drain(self, event, limit: int | None) -> None:
         """Burst handler: deliver frames back-to-back until ``limit``.
 
         Invoked by the machine's event loop in place of ``_fire`` with the
-        clock already advanced to the event time.  Each iteration delivers
-        the pending frame at ``clock.now``, draws the next from the
-        iterator at the same simulated instant the scalar path would
-        (keeping shared-RNG draw order identical), and either keeps
-        going — advancing the clock directly — or falls back to a
-        scheduled event when the burst window closes or conditions make
-        interleaving observable.
-
-        When the source iterator is pure (:attr:`pure_frames`) and the NIC
-        can batch (``Nic.can_batch``), deliveries are additionally
-        *batched*: frames are collected with their arrival cycles and
-        handed to ``Nic.deliver_burst`` in groups, which vectorises the
-        cache work of the whole group across frames.  Batch state is bit-identical to
-        the per-frame drain (pinned by ``tests/test_rx_equivalence.py``).
+        clock already advanced to the event time.  When the NIC cannot
+        batch (``Nic.can_batch``) it is ``_fire``: one frame, and the next
+        through the heap.  Otherwise each iteration collects the pending
+        frame at ``clock.now``, draws the next from the iterator at the
+        same simulated instant the scalar path would (keeping draw order
+        identical), and either keeps going — advancing the clock
+        directly — or schedules the next frame when the burst window
+        closes.  The collected frames go to ``Nic.deliver_burst`` with
+        their arrival cycles, in groups of at most ``_BATCH_MAX``, which
+        applies the cache work of a whole group at once.  State is
+        bit-identical to delivering frame by frame (pinned by
+        ``tests/test_rx_equivalence.py``).
         """
+        nic = self._nic
+        if not nic.can_batch():
+            self._fire()
+            return
         machine = self._machine
         clock = machine.clock
         events = machine.events
-        nic = self._nic
-        burstable = self._burstable()
-        batch = [] if burstable and self.pure_frames and nic.can_batch() else None
+        batch = []
         while True:
-            if batch is None:
-                self._deliver_pending()
-            else:
-                frame = self._pending
-                self._pending = None
-                frame.sent_time = clock.now
-                batch.append((clock.now, frame))
-                self.sent += 1
-                if len(batch) >= _BATCH_MAX:
-                    nic.deliver_burst(batch)
-                    batch = []
+            frame = self._pending
+            self._pending = None
+            frame.sent_time = clock.now
+            batch.append((clock.now, frame))
+            self.sent += 1
+            if len(batch) >= _BATCH_MAX:
+                nic.deliver_burst(batch)
+                batch = []
             if self._stopped:
                 break
             try:
@@ -173,7 +156,7 @@ class TrafficSource(ABC):
             gap_s = max(gap_s, self.link.frame_time_seconds(frame.size))
             at = max(clock.now + clock.cycles(gap_s), clock.now)
             self._pending = frame
-            if not burstable or (limit is not None and at > limit):
+            if limit is not None and at > limit:
                 events.schedule(
                     at, self._fire, label=f"frame#{frame.frame_id}", drain=self._drain
                 )

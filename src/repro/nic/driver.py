@@ -24,17 +24,15 @@ Receive-path behaviour reproduced here:
 Each receive is described once.  :meth:`IgbDriver._path` picks its path,
 :meth:`IgbDriver._prep` runs its control flow (stats, receive log, skb
 cursor, page flip or replacement, randomizer), none of which reads cache
-state; :meth:`IgbDriver._reads`
-lists the buffer blocks it reads, in order, and
-:meth:`IgbDriver._skb_count` the skb lines it writes.  Per-frame
-:meth:`IgbDriver.receive` issues that sequence one
+state; :meth:`IgbDriver._reads` lists the buffer blocks it reads, in
+order, and :meth:`IgbDriver._skb_count` the skb lines it writes.
+Per-frame :meth:`IgbDriver.receive` issues that sequence one
 :meth:`~repro.cache.llc.SlicedLLC.cpu_access` at a time; the NIC's
 cross-frame burst path folds the same sequence into a footprint-op
-template (:meth:`IgbDriver._burst_template`) over the buffers' precomputed
-decompositions (:class:`RxTemplates`), and the engine applies a burst's
-concatenated templates in one call
-(:meth:`~repro.cache.engine.CacheEngine.rx_burst_apply`).  The scalar
-original is frozen in
+template (:meth:`IgbDriver._burst_template`), lays each frame's ops over
+its buffer's and skb's line addresses, and hands the burst's lists to
+:meth:`~repro.cache.llc.SlicedLLC.rx_burst`, which decomposes the lines
+and applies them in one engine call.  The scalar original is frozen in
 :mod:`reference.nic` and pinned bit-identical by
 ``tests/test_rx_equivalence.py``.
 """
@@ -44,8 +42,6 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.core.config import RingConfig
 from repro.core.counters import CounterStats
@@ -83,72 +79,6 @@ class ReceiveRecord:
     symbol: int | None = None
 
 
-class RxTemplates:
-    """Block-address templates for the batched rx datapath.
-
-    An rx buffer is a fixed run of consecutive cache lines, so every touch
-    sequence the NIC and driver issue against it — the DMA fill, the
-    driver's reads — is an index into one precomputed decomposition of
-    ``base + [0, line, 2*line, ...]``.  The template is computed once per
-    buffer base address and shared by the NIC and the driver; the cache is
-    bounded because the randomization defenses replace buffer pages
-    continuously.  The skb slab's decomposition is kept here too.
-
-    Every decomposition holds under one index mapping, so all of them are
-    tagged with the LLC's ``mapping_epoch``: on the first use after a
-    re-key they are recomputed together, in one
-    :meth:`~repro.cache.llc.SlicedLLC.memoize_many` call.
-    """
-
-    _MAX_ENTRIES = 4096
-
-    __slots__ = ("llc", "offsets", "_skb_paddrs", "_skb", "_cache", "_epoch")
-
-    def __init__(self, llc, buffer_size: int, skb_paddrs: np.ndarray) -> None:
-        self.llc = llc
-        line = llc.geometry.line_size
-        self.offsets = np.arange(buffer_size // line, dtype=np.int64) * line
-        self._skb_paddrs = skb_paddrs
-        self._skb = llc.decompose_many(skb_paddrs)
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._epoch = llc.mapping_epoch
-
-    def _refresh(self) -> None:
-        """Recompute every decomposition under the current mapping."""
-        entries = list(self._cache.items())
-        n_skb = len(self._skb_paddrs)
-        width = len(self.offsets)
-        flats, lines = self.llc.memoize_many(
-            np.concatenate([self._skb_paddrs, *(p for _b, (p, _f, _l) in entries)])
-        )
-        self._skb = flats[:n_skb], lines[:n_skb]
-        for i, (base, (paddrs, _f, _l)) in enumerate(entries):
-            lo = n_skb + i * width
-            self._cache[base] = (paddrs, flats[lo : lo + width], lines[lo : lo + width])
-        self._epoch = self.llc.mapping_epoch
-
-    def skb(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(flats, lines)`` of every skb slab line, in slab order."""
-        if self._epoch != self.llc.mapping_epoch:
-            self._refresh()
-        return self._skb
-
-    def decomp(self, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(paddrs, flats, lines)`` arrays for every block of the buffer
-        at ``base``; slice before use."""
-        if self._epoch != self.llc.mapping_epoch:
-            self._refresh()
-        entry = self._cache.get(base)
-        if entry is None:
-            if len(self._cache) >= self._MAX_ENTRIES:
-                self._cache.clear()
-            paddrs = base + self.offsets
-            flats, lines = self.llc.decompose_many(paddrs)
-            entry = (paddrs, flats, lines)
-            self._cache[base] = entry
-        return entry
-
-
 class IgbDriver:
     """The driver half of the receive path."""
 
@@ -177,22 +107,16 @@ class IgbDriver:
         self._line = machine.llc.geometry.line_size
         # skb slab: a modest recycled kernel region the copy path writes to.
         # The region is fixed at driver init, so its translation is
-        # precomputed once and indexed per write.
+        # precomputed once, as the line address of every slab line.
         self._skb_region = machine.kernel.mmap(16)
         self._skb_cursor = 0
         self._skb_lines = 16 * machine.physmem.page_size // self._line
         translate = machine.kernel.translate
         line = self._line
         region = self._skb_region
-        self._skb_paddrs = np.fromiter(
-            (translate(region + i * line) for i in range(self._skb_lines)),
-            np.int64,
-            count=self._skb_lines,
-        )
-        #: Buffer and skb slab decompositions, shared with the NIC.
-        self.templates = RxTemplates(
-            machine.llc, self.config.buffer_size, self._skb_paddrs
-        )
+        self._skb_slab = [
+            translate(region + i * line) // line for i in range(self._skb_lines)
+        ]
 
     # ------------------------------------------------------------------
     # What one receive does
@@ -238,7 +162,8 @@ class IgbDriver:
         buffer lines sit in other sets, and the skb writes come after), so
         they are counted in ``folded_hits`` instead.  ``span`` is the
         frame's total tick count and ``buf_ops`` its number of buffer ops;
-        the touched blocks are always ``0..buf_ops-1``.
+        the touched blocks are always ``0..buf_ops-1``.  ``kinds`` and
+        ``final_offs`` are tuples, shared by every frame of the shape.
         """
         stream = [*range(n), *IgbDriver._reads(path, n)]
         last = {block: pos for pos, block in enumerate(stream)}
@@ -246,14 +171,8 @@ class IgbDriver:
         assert blocks == list(range(len(blocks)))
         span = len(stream)
         n_skb = IgbDriver._skb_count(path, n)
-        kinds = np.array(
-            [0 if block < n else 1 for block in blocks] + [2] * n_skb, dtype=np.uint8
-        )
-        offs = np.array(
-            [last[block] for block in blocks] + list(range(span, span + n_skb)),
-            dtype=np.int64,
-        )
-        kinds.flags.writeable = offs.flags.writeable = False  # cached, shared
+        kinds = tuple(0 if block < n else 1 for block in blocks) + (2,) * n_skb
+        offs = (*(last[block] for block in blocks), *range(span, span + n_skb))
         return kinds, offs, span + n_skb, span - len(blocks), len(blocks)
 
     def _path(self, frame: Frame) -> int:
@@ -268,15 +187,14 @@ class IgbDriver:
 
     def _prep(
         self, frame: Frame, path: int, buffer: RxBuffer, ring_slot: int, now: int
-    ) -> slice | np.ndarray | None:
+    ) -> list[int] | None:
         """The control flow of a ``path`` receive: stats, receive log, skb
         cursor, page flip or replacement, randomizer.
 
         None of it reads cache state, so both delivery paths run it before
         the frame's cache touches.  It may flip or replace ``buffer``: take
-        its address first.  Returns the slab lines the frame writes to its
-        skb (a slice, or an index array when the cursor wraps; None for a
-        broadcast, which builds no skb).
+        its address first.  Returns the line addresses the frame writes to
+        its skb, in order (None for a broadcast, which builds no skb).
         """
         n = frame.n_blocks(self._line)
         self.stats.frames += 1
@@ -320,15 +238,16 @@ class IgbDriver:
             self.randomizer.on_packet(self, buffer)
         return skb
 
-    def _skb_take(self, n_lines: int) -> slice | np.ndarray:
-        """Advance the recycled skb slab's cursor by ``n_lines``; returns
-        the slab indices of the lines passed over."""
-        wrap = self._skb_lines
-        start = self._skb_cursor % wrap
+    def _skb_take(self, n_lines: int) -> list[int]:
+        """Advance the recycled skb slab's cursor by ``n_lines`` (at most
+        the slab's size); returns the line addresses passed over."""
+        slab = self._skb_slab
+        start = self._skb_cursor % self._skb_lines
         self._skb_cursor += n_lines
-        if start + n_lines <= wrap:
-            return slice(start, start + n_lines)
-        return np.arange(start, start + n_lines) % wrap
+        wrapped = start + n_lines - self._skb_lines
+        if wrapped <= 0:
+            return slab[start : start + n_lines]
+        return slab[start:] + slab[:wrapped]
 
     # ------------------------------------------------------------------
     # Per-frame receive
@@ -378,8 +297,8 @@ class IgbDriver:
         for block in reads:
             cpu_access(base + block * line, False, now)
         if skb is not None:
-            for paddr in self._skb_paddrs[skb].tolist():
-                cpu_access(paddr, True, now)
+            for skb_line in skb:
+                cpu_access(skb_line * line, True, now)
         if deferred is not None:
 
             def touch_payload() -> None:

@@ -14,11 +14,12 @@ A frame delivered on its own is filled one block at a time
 Frames that land back-to-back with nothing observing the machine in
 between are delivered as a burst (:meth:`Nic.deliver_burst`): the driver's
 one receive description — its control flow and its touch sequence — is run
-per frame, then the whole burst's cache-op stream is applied in one engine
-call over the buffers' precomputed decompositions
-(:class:`repro.nic.driver.RxTemplates`, owned by the driver): an in-order
-scalar pass for a short burst, rounds by within-set rank for a long one
-(:meth:`repro.cache.engine.CacheEngine.rx_burst_apply`).  The
+per frame, and the whole burst's cache-op stream, as plain lists of line
+addresses, kinds and stamp offsets, goes to one
+:meth:`repro.cache.llc.SlicedLLC.rx_burst` call.  The LLC decomposes the
+lines under its current mapping and applies them in one engine call: an
+in-order scalar pass for a short burst, rounds by within-set rank for a
+long one (:meth:`repro.cache.engine.CacheEngine.rx_burst_apply`).  The
 pre-batching path is frozen in :mod:`reference.nic` and pinned
 bit-identical by ``tests/test_rx_equivalence.py``.
 """
@@ -26,8 +27,6 @@ bit-identical by ``tests/test_rx_equivalence.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.core.counters import CounterStats
 from repro.net.packet import Frame
@@ -66,8 +65,8 @@ class Nic:
         """DMA every block of the frame into the cache hierarchy — the one
         place the fill loop lives (it used to be duplicated per tracer
         branch)."""
-        paddrs = self.driver.templates.decomp(base)[0]
-        self.machine.llc.io_write_many(paddrs[:n_blocks], now=now)
+        end = base + n_blocks * self._line
+        self.machine.llc.io_write_many(range(base, end, self._line), now=now)
 
     def deliver(self, frame: Frame, now: int | None = None) -> None:
         """Receive one frame at cycle ``now`` (default: the current time).
@@ -137,10 +136,11 @@ class Nic:
     # Cross-frame burst delivery
     # ------------------------------------------------------------------
     def can_batch(self) -> bool:
-        """Whether :meth:`deliver_burst` may batch cache work across frames:
-        no fault plan (its drop and stall draws are per frame) and a cache
-        policy the burst kernel models
-        (:meth:`~repro.cache.llc.SlicedLLC.supports_rx_burst`)."""
+        """The one burst gate: whether a drain may hand frames to
+        :meth:`deliver_burst` at all.  It needs no fault plan (its drop
+        and stall draws are per frame) and a cache policy the burst kernel
+        models (:meth:`~repro.cache.llc.SlicedLLC.supports_rx_burst`);
+        otherwise every frame goes through the event heap."""
         return self.machine.faults is None and self.machine.llc.supports_rx_burst()
 
     def deliver_burst(self, batch: list[tuple[int, "Frame"]]) -> None:
@@ -148,16 +148,17 @@ class Nic:
 
         Used by a drained traffic source (``TrafficSource._drain``) when
         :meth:`can_batch` holds and nothing can observe the machine
-        between the arrivals.  Phase 1 runs every frame's control flow in
-        arrival order — ring advance, then the driver's
+        between the arrivals.  The drain has already moved the clock to
+        the batch's last arrival, so no frame here moves it; each is
+        delivered at its own arrival cycle.  Phase 1 runs every frame's
+        control flow in arrival order — ring advance, then the driver's
         :meth:`~repro.nic.driver.IgbDriver._prep` — none of which reads
         cache state.  Phase 2 applies the concatenated cache-op stream of
         all frames, each frame's folded from the driver's touch sequence
         (:meth:`~repro.nic.driver.IgbDriver._burst_template`), in one
-        :meth:`~repro.cache.llc.SlicedLLC.rx_burst` engine call (an
-        in-order pass below the engine's length switch, rounds by
-        within-set rank from it up, see
-        :meth:`~repro.cache.engine.CacheEngine.rx_burst_apply`).
+        :meth:`~repro.cache.llc.SlicedLLC.rx_burst` call (an in-order pass
+        below the engine's length switch, rounds by within-set rank from
+        it up, see :meth:`~repro.cache.engine.CacheEngine.rx_burst_apply`).
 
         A burst runs under one index mapping.  Frames are collected while
         their accesses fit in
@@ -180,29 +181,27 @@ class Nic:
         """Collect ``batch[start:]`` while it fits in the accesses left
         before the next re-key, apply the collected frames in one
         ``rx_burst`` call, and return the index of the first frame left
-        out (``len(batch)`` when all fit)."""
+        out (``len(batch)`` when all fit).
+
+        A frame's buffer ops touch its buffer's first ``buf_ops`` lines,
+        in block order; its skb ops, the slab lines ``_prep`` hands back.
+        """
         driver = self.driver
-        clock = self.machine.clock
         llc = self.machine.llc
         ring = self.ring
         buffer_size = ring.config.buffer_size
         stats = self.stats
         line = self._line
-        templates = driver.templates
         template = driver._burst_template
         budget = llc.accesses_until_rekey()
-        flat_parts: list[np.ndarray] = []
-        line_parts: list[np.ndarray] = []
-        kind_parts: list[np.ndarray] = []
-        off_parts: list[np.ndarray] = []
-        bases: list[int] = []
-        lens: list[int] = []
+        lines: list[int] = []
+        kinds: list[int] = []
+        offs: list[int] = []
         span_total = 0
         folded = 0
         stop = len(batch)
         for i in range(start, len(batch)):
             at, frame = batch[i]
-            clock.advance_to(at)
             if frame.size > buffer_size:
                 stats.oversize_dropped += 1
                 continue
@@ -214,32 +213,17 @@ class Nic:
                 break
             ring_slot = ring.head
             buffer = ring.advance()
-            _paddrs, flats, lines = templates.decomp(buffer.dma_paddr)
+            first = buffer.dma_paddr // line
             stats.frames += 1
             stats.blocks_written += n
             skb = driver._prep(frame, path, buffer, ring_slot, at)
-            flat_parts.append(flats[:buf_ops])
-            line_parts.append(lines[:buf_ops])
+            lines.extend(range(first, first + buf_ops))
             if skb is not None:
-                skb_flats, skb_lines = templates.skb()
-                flat_parts.append(skb_flats[skb])
-                line_parts.append(skb_lines[skb])
-            kind_parts.append(kinds_t)
-            off_parts.append(offs_t)
-            bases.append(span_total)
-            lens.append(len(offs_t))
+                lines.extend(skb)
+            kinds.extend(kinds_t)
+            offs.extend([off + span_total for off in offs_t])
             span_total += span_t
             folded += folded_t
-        if kind_parts:
-            offs = np.concatenate(off_parts) + np.repeat(
-                np.asarray(bases, dtype=np.int64), lens
-            )
-            llc.rx_burst(
-                np.concatenate(flat_parts),
-                np.concatenate(line_parts),
-                np.concatenate(kind_parts),
-                offs,
-                span_total,
-                folded,
-            )
+        if kinds:
+            llc.rx_burst(lines, kinds, offs, span_total, folded)
         return stop

@@ -2,15 +2,6 @@
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
-# Allow running the suite from a source checkout even when the package is
-# not installed (e.g. offline environments without wheel/pip access).
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
-
 import pytest
 
 from repro.core.config import MachineConfig

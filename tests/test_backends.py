@@ -329,7 +329,7 @@ def _apply_batched(llc: SlicedLLC, ops, chunk: int = 37):
             j += 1
         paddrs = np.asarray([p for _k, p in ops[i:j]], dtype=np.int64)
         if kind == 2:
-            llc.io_write_many(paddrs)
+            llc.io_write_many(paddrs.tolist())
         else:
             llc.access_many(paddrs, write=kind == 1)
         i = j

@@ -19,6 +19,9 @@ state:
 * the modulo, keyed (re-keys inside batches) and skewed index backends,
   each with DDIO on and off; a machine with a partition installed, and
   one under the ``light`` fault profile;
+* a partition installed over a cache that already holds I/O lines, whose
+  presence clocks then start at the sweeps' misses: each replay must be
+  handed its own start cycle;
 * an event whose action advances the clock past another pending event.
 """
 
@@ -36,6 +39,7 @@ from repro.core.config import MachineConfig
 from repro.core.machine import Machine
 from repro.defense.partitioning import AdaptivePartition
 from repro.faults.profiles import get_profile
+from repro.net.packet import Frame
 from repro.net.traffic import ConstantStream
 from repro.telemetry.context import Telemetry
 
@@ -283,6 +287,36 @@ class TestBatchedAccessMatchesTheLoop:
     def test_light_faults(self, backend):
         rig = _run_both(faults="light", backend=backend)
         assert rig.machine.faults.stats.corunner_accesses > 0
+
+    def test_partition_installed_over_resident_io_lines(self):
+        """Frames leave I/O lines in the monitored sets before the
+        partition arrives, so it has no presence clock running for them.
+        The sweeps' misses there start those clocks at the missing
+        access's cycle, which the batch must hand each replay: the
+        partition's ``_io_since``/``_presence`` and the clock must match
+        the loop after the first sweep and after a run with adaptation
+        ticks inside the batches."""
+        runs = []
+        for reference in (False, True):
+            rig = _Rig(backend="modulo", ddio=True, faults="off",
+                       partition=False, traffic=False, reference=reference)
+            machine = rig.machine
+            for _ in range(machine.ring.config.n_descriptors):
+                machine.nic.deliver(Frame(size=1500, protocol="tcp"))
+            AdaptivePartition().install(machine)
+            partition = machine.llc.partition
+            first = rig.sweep.probe().tolist()
+            started = dict(partition._io_since)
+            states = [rig.state()]
+            seen = _drive(rig, rounds=12, seed=5)
+            states.append(rig.state())
+            runs.append((first, started, seen, states))
+        assert runs[0] == runs[1]
+        first, started, _seen, _states = runs[0]
+        # The first sweep missed in several sets and started their
+        # presence clocks at different cycles.
+        assert sum(first) > 0 and len(set(started.values())) > 1
+        assert partition.stats.adaptations > 0
 
     def test_event_moving_the_clock_past_another(self):
         """The first event's action jumps the clock past the second's

@@ -154,8 +154,7 @@ def test_batched_io_write_equivalence(ddio_enabled):
         else:
             # Adversarial: random lines, possibly duplicated in-burst.
             burst = [rng.randrange(n_lines) * 64 for _ in range(rng.randrange(1, 33))]
-        paddrs = np.asarray(burst, dtype=np.int64)
-        new.io_write_many(paddrs)
+        new.io_write_many(burst)
         for p in burst:
             old.io_write(p)
         assert_same_state(new, old)
@@ -173,8 +172,7 @@ def test_batched_io_write_partition_fallback():
             new.partition.adapt(new, now)
             old.partition.adapt(old, now)
         burst = [rng.randrange(n_lines) * 64 for _ in range(rng.randrange(1, 33))]
-        paddrs = np.asarray(burst, dtype=np.int64)
-        new.io_write_many(paddrs, now=now)
+        new.io_write_many(burst, now=now)
         for p in burst:
             old.io_write(p, now=now)
         assert_same_state(new, old)

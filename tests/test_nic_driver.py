@@ -211,10 +211,11 @@ class TestRxWraparound:
             nic_machine.nic.deliver(Frame(size=256, protocol="tcp"))
         assert driver._skb_cursor > wrap  # wrapped at least once
         # The slab footprint in the cache never exceeds the slab itself.
+        line_size = nic_machine.llc.geometry.line_size
         resident = sum(
             1
-            for p in driver._skb_paddrs.tolist()
-            if nic_machine.llc.is_resident(p)
+            for line in driver._skb_slab
+            if nic_machine.llc.is_resident(line * line_size)
         )
         assert 0 < resident <= wrap
 
@@ -295,14 +296,11 @@ class TestBurstGuard:
             engine._tick,
             llc.stats.snapshot(),
         )
-        _paddrs, flats, lines = machine.driver.templates.decomp(
-            machine.ring.next_buffer().dma_paddr
-        )
-        kinds = np.zeros(4, dtype=np.uint8)
-        offs = np.arange(4, dtype=np.int64)
+        first = machine.ring.next_buffer().dma_paddr >> llc.geometry.offset_bits
+        lines = list(range(first, first + 4))
         assert not llc.supports_rx_burst()
         with pytest.raises(RuntimeError):
-            llc.rx_burst(flats[:4], lines[:4], kinds, offs, 4, 0)
+            llc.rx_burst(lines, [0] * 4, list(range(4)), 4, 0)
         assert np.array_equal(engine.tags, before[0])
         assert np.array_equal(engine.flags, before[1])
         assert np.array_equal(engine.stamps, before[2])
@@ -331,26 +329,26 @@ class TestBurstGuard:
             return arrays, counts
 
         arrays, counts = state()
-        paddrs, flats, lines = machine.driver.templates.decomp(
-            machine.ring.next_buffer().dma_paddr
-        )
-        kinds = np.zeros(4, dtype=np.uint8)
-        offs = np.arange(4, dtype=np.int64)
+        offset_bits = llc.geometry.offset_bits
+        first = machine.ring.next_buffer().dma_paddr >> offset_bits
+        lines = list(range(first, first + 4))
+        kinds = [0] * 4
+        offs = list(range(4))
         budget = llc.accesses_until_rekey()
         assert 4 <= budget < 50_000
         with pytest.raises(ValueError):
-            llc.rx_burst(flats[:4], lines[:4], kinds, offs, budget + 1, 0)
+            llc.rx_burst(lines, kinds, offs, budget + 1, 0)
         arrays_after, counts_after = state()
         assert all(np.array_equal(a, b) for a, b in zip(arrays, arrays_after))
         assert counts_after == counts
         # A burst that exactly fills the budget applies under the old
         # mapping; the next access fires the re-key.
         epoch = llc.mapping_epoch
-        llc.rx_burst(flats[:4], lines[:4], kinds, offs, budget, 0)
+        llc.rx_burst(lines, kinds, offs, budget, 0)
         assert llc.mapping_epoch == epoch
         assert llc.accesses_until_rekey() == 0
-        assert all(llc.is_resident(int(p)) for p in paddrs[:4])
-        llc.cpu_access(int(paddrs[0]))
+        assert all(llc.is_resident(line << offset_bits) for line in lines)
+        llc.cpu_access(lines[0] << offset_bits)
         assert llc.mapping_epoch == epoch + 1
 
     def test_can_batch_is_supported_policy_without_faults(self, scaled_config):
