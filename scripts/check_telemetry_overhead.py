@@ -19,8 +19,8 @@ session.  Results must again be bit-identical: the hooks only observe.
 
 Usage::
 
-    PYTHONPATH=src python scripts/check_telemetry_overhead.py
-    PYTHONPATH=src python scripts/check_telemetry_overhead.py \
+    python scripts/check_telemetry_overhead.py
+    python scripts/check_telemetry_overhead.py \
         --instances 24 --rounds 5 --tolerance 0.05
 """
 
@@ -29,11 +29,16 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
-from repro.core.config import MachineConfig
-from repro.experiments.mapping import run_fig6
-from repro.telemetry import Telemetry, session
-from repro.telemetry.quality import set_hooks_enabled
+_ROOT = Path(__file__).resolve().parent.parent
+if str(_ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(_ROOT / "src"))
+
+from repro.core.config import MachineConfig  # noqa: E402  (path setup first)
+from repro.experiments.mapping import run_fig6  # noqa: E402
+from repro.telemetry import Telemetry, session  # noqa: E402
+from repro.telemetry.quality import set_hooks_enabled  # noqa: E402
 
 
 def _time_once(config: MachineConfig, instances: int, telemetry: Telemetry | None):

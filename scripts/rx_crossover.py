@@ -33,7 +33,9 @@ from repro.cache import engine as engine_module  # noqa: E402
 from repro.cache.engine import CacheEngine  # noqa: E402
 from repro.net.traffic import PatternStream  # noqa: E402
 
-LENGTHS = (16, 32, 48, 64, 96, 128, 160, 192, 224, 256, 512, 1024, 2048)
+LENGTHS = (
+    16, 32, 48, 64, 96, 128, 160, 192, 224, 256, 320, 384, 448, 512, 1024, 2048
+)
 N_BURSTS = 8
 REPEATS = 5
 _APPLY = CacheEngine.rx_burst_apply

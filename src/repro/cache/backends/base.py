@@ -145,10 +145,12 @@ class BackendInfo:
 class IndexMapping:
     """Base class: the identity of a cache-index policy.
 
-    Subclasses override :meth:`flats_of_many` (the single source of
-    truth — the scalar :meth:`flat_of` funnels through it, so vectorised
-    and scalar mapping can never diverge) and, for randomized designs,
-    the epoch / partition hooks.
+    Subclasses override :meth:`flats_of_many` and, for randomized
+    designs, the epoch / partition hooks.  The base :meth:`flat_of` is a
+    one-address :meth:`flats_of_many` call; a subclass may override it
+    with a scalar form of the same function (:class:`ModuloMapping`
+    does, for the LLC's cold one-address lookups), and tests pin that
+    the two agree.
     """
 
     #: Registry name ("modulo", "keyed", "skewed").

@@ -17,9 +17,8 @@ analogue here:
   accounts both outcomes exactly.
 
 Between re-keys the mapping is static, so the batched kernels stay
-valid; the LLC falls back to the scalar path for any batch a re-key
-would land inside (the interleaving-observable case), and an rx burst
-ends before the re-key.
+valid; the LLC splits a batch a re-key would land inside at the
+re-key, and an rx burst ends before it.
 """
 
 from __future__ import annotations

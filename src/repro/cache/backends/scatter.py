@@ -15,8 +15,10 @@ group) its own keyed index function and picks the victim among the
 
 The mapping is static (``epoch_period = 0`` — SCv1's key lifetime is
 outside the modelled window), so decomposition caches and the
-``access_many`` fast path stay valid; only the DMA fill kernels fall
-back scalar, because their victim policy is way-restricted.
+``access_many`` fast path stay valid.  The rx burst kernel does not
+model a way-restricted victim policy
+(:meth:`~repro.cache.llc.SlicedLLC.supports_rx_burst`), so a skewed
+machine delivers every frame on its own.
 """
 
 from __future__ import annotations

@@ -14,14 +14,16 @@ arrays shared by *all* sets:
   recency, so "LRU" is "minimum stamp" — exactly the order the legacy
   ``OrderedDict`` maintained structurally.
 
-A single Python dict (``(set, line) -> way``, encoded as one integer key)
-is kept as a directory for O(1) scalar lookups, and small Python lists
-track per-set occupancy and I/O-line counts.  The numpy arrays are the
-ground truth that the *batched* kernels operate on:
-:meth:`lookup_many`/:meth:`touch_many` resolve and touch thousands of
-accesses with a handful of vectorised operations, which is what lets a
-PRIME+PROBE sweep issue one engine call instead of one Python call per
-line.
+A single Python dict (``line -> way``) is kept as a directory for O(1)
+scalar lookups, and small Python lists track per-set occupancy and
+I/O-line counts.  The line alone keys the directory because a resident
+line sits in exactly one set: the caller's index mapping is a function
+of the line, and a re-key (:meth:`CacheEngine.reload`) places every line
+afresh.  The numpy arrays are the ground truth that the *batched*
+kernels operate on: :meth:`lookup_many`/:meth:`touch_many` resolve and
+touch thousands of accesses with a handful of vectorised operations,
+which is what lets a PRIME+PROBE sweep issue one engine call instead of
+one Python call per line.
 
 Semantics are differentially tested against the legacy model
 (``tests/test_engine_equivalence.py``): identical eviction decisions,
@@ -41,7 +43,7 @@ from repro.cache.cacheset import LINE_DIRTY, LINE_IO
 #: ones take the in-order pass.  Set where the two cost the same on the rx
 #: hot-path stream's bursts (``scripts/rx_crossover.py``; PERFORMANCE.md,
 #: "The rx datapath").
-ROUND_KERNEL_MIN_OPS = 160
+ROUND_KERNEL_MIN_OPS = 360
 
 _BIG = np.iinfo(np.int64).max
 
@@ -67,8 +69,9 @@ class RxBurstCounts(NamedTuple):
 class CacheEngine:
     """Flat-array storage and LRU policy for ``n_sets`` x ``ways`` lines.
 
-    All methods take a *flat set id* (slice-major, as produced by
-    :meth:`repro.cache.llc.SlicedLLC.flat_set_of`) plus a line address.
+    Most methods take a *flat set id* (slice-major, as produced by
+    :meth:`repro.cache.llc.SlicedLLC.flat_set_of`) plus a line address,
+    and a line must not be inserted while it is resident in another set.
     The engine is policy-free with respect to *which* victim origin to
     choose — callers (the DDIO path, the partition defense) pick victims
     via :meth:`evict_lru` / :meth:`evict_lru_of`.
@@ -87,7 +90,6 @@ class CacheEngine:
         "_n_io",
         "_dir",
         "_tick",
-        "_line_span",
     )
 
     def __init__(self, n_sets: int, ways: int) -> None:
@@ -107,21 +109,19 @@ class CacheEngine:
         self.stamps2 = self.stamps.reshape(n_sets, ways)
         self._size = [0] * n_sets
         self._n_io = [0] * n_sets
-        #: Directory: (flat * line_span + line) -> way.  ``line_span`` is a
-        #: power of two above any line address so keys never collide.
+        #: Directory: resident line -> its way in its set.
         self._dir: dict[int, int] = {}
         self._tick = 0
-        self._line_span = 1 << 58
 
     # ------------------------------------------------------------------
     # Scalar lookups
     # ------------------------------------------------------------------
-    def contains(self, flat: int, line: int) -> bool:
-        return (flat * self._line_span + line) in self._dir
+    def contains(self, line: int) -> bool:
+        return line in self._dir
 
     def flags_of(self, flat: int, line: int) -> int | None:
         """Flags of a resident line, or None if absent (no LRU update)."""
-        way = self._dir.get(flat * self._line_span + line)
+        way = self._dir.get(line)
         if way is None:
             return None
         return int(self.flags[flat * self.ways + way])
@@ -143,7 +143,7 @@ class CacheEngine:
     # ------------------------------------------------------------------
     def touch(self, flat: int, line: int, set_dirty: bool = False) -> bool:
         """Access a line; True on hit (stamps it MRU, optionally dirties)."""
-        way = self._dir.get(flat * self._line_span + line)
+        way = self._dir.get(line)
         if way is None:
             return False
         idx = flat * self.ways + way
@@ -174,7 +174,7 @@ class CacheEngine:
         self.flags[idx] = flags
         self._tick += 1
         self.stamps[idx] = self._tick
-        self._dir[flat * self._line_span + line] = way
+        self._dir[line] = way
         self._size[flat] += 1
         if flags & LINE_IO:
             self._n_io[flat] += 1
@@ -214,7 +214,7 @@ class CacheEngine:
         self.flags[idx] = flags
         self._tick += 1
         self.stamps[idx] = self._tick
-        self._dir[flat * self._line_span + line] = way
+        self._dir[line] = way
         self._size[flat] += 1
         if flags & LINE_IO:
             self._n_io[flat] += 1
@@ -250,7 +250,7 @@ class CacheEngine:
 
     def invalidate(self, flat: int, line: int) -> int | None:
         """Drop a line without eviction bookkeeping; return its flags."""
-        way = self._dir.get(flat * self._line_span + line)
+        way = self._dir.get(line)
         if way is None:
             return None
         _line, flags = self._drop(flat, flat * self.ways + way)
@@ -258,7 +258,7 @@ class CacheEngine:
 
     def mark_io(self, flat: int, line: int) -> None:
         """Convert a resident line to a dirty I/O line and stamp it MRU."""
-        way = self._dir.get(flat * self._line_span + line)
+        way = self._dir.get(line)
         if way is None:
             raise LookupError(f"line {line:#x} not resident")
         idx = flat * self.ways + way
@@ -276,7 +276,7 @@ class CacheEngine:
         self.tags[idx] = -1
         self.flags[idx] = 0
         self.stamps[idx] = 0
-        del self._dir[flat * self._line_span + line]
+        del self._dir[line]
         self._size[flat] -= 1
         if flags & LINE_IO:
             self._n_io[flat] -= 1
@@ -323,13 +323,7 @@ class CacheEngine:
         self._size = np.minimum(counts, ways).tolist()
         io = (kflags & LINE_IO) != 0
         self._n_io = np.bincount(kflats[io], minlength=self.n_sets).tolist()
-        # Python ints: flat * 2**58 overflows int64 from flat 32 up.
-        span = self._line_span
-        self._dir.clear()
-        self._dir.update(
-            (flat * span + line, way)
-            for flat, line, way in zip(kflats.tolist(), klines.tolist(), kways.tolist())
-        )
+        self._dir = dict(zip(klines.tolist(), kways.tolist()))
         # The line at set rank j drops the one at rank j - ways, which
         # sits ``ways`` places before it in the set-sorted order.
         drop = np.flatnonzero(~keep)
@@ -385,9 +379,8 @@ class CacheEngine:
         The caller (the NIC's drained-burst path, through
         :meth:`repro.cache.llc.SlicedLLC.rx_burst`) has already flattened
         a sequence of received frames into one ordered stream of
-        *footprint* ops, as parallel lists of Python ints (a directory key,
-        ``flat * 2**58 + line``, overflows int64) — ``kinds`` 0 = DMA
-        fill, 1 = CPU read, 2 = CPU write — where
+        *footprint* ops, as parallel lists of Python ints — ``kinds``
+        0 = DMA fill, 1 = CPU read, 2 = CPU write — where
         the driver's re-touches of lines its own frame just filled are
         *folded away*: they can never miss, so only their tick positions
         matter, and ``stamp_offs[i]`` carries the 0-based position of the
@@ -432,7 +425,6 @@ class CacheEngine:
         """The burst as one pass in stream order: one directory lookup per
         op, and a read of the set's row only where a miss picks a way."""
         ways = self.ways
-        span = self._line_span
         directory = self._dir
         size_l = self._size
         n_io_l = self._n_io
@@ -445,7 +437,7 @@ class CacheEngine:
         dirty = io_by_fill = io_by_cpu = 0
         cpu_by_fill: list[int] = []
         for flat, line, kind, off in zip(flats, lines, kinds, stamp_offs):
-            way = directory.get(flat * span + line)
+            way = directory.get(line)
             if way is not None:
                 slot = flat * ways + way
                 if kind == 0:
@@ -487,7 +479,7 @@ class CacheEngine:
                 vslot = base + victim
                 vline = int(tags[vslot])
                 vflags = int(flags[vslot])
-                del directory[flat * span + vline]
+                del directory[vline]
                 if vflags & LINE_DIRTY:
                     dirty += 1
                 if vflags & LINE_IO:
@@ -512,7 +504,7 @@ class CacheEngine:
             slot = base + way
             tags[slot] = line
             stamps[slot] = stamp0 + off
-            directory[flat * span + line] = way
+            directory[line] = way
             if kind == 0:
                 flags[slot] = io_dirty
                 n_io_l[flat] += 1
@@ -581,7 +573,6 @@ class CacheEngine:
         ev_pos_parts: list[np.ndarray] = []
         ev_lines_parts: list[np.ndarray] = []
         ev_flags_parts: list[np.ndarray] = []
-        span = self._line_span
         directory = self._dir
         size_l = self._size
         n_io_l = self._n_io
@@ -648,11 +639,11 @@ class CacheEngine:
                     is_fill.tolist(),
                 ):
                     if evl != -1:
-                        del directory[flat * span + evl]
+                        del directory[evl]
                         size_l[flat] -= 1
                         if eio:
                             n_io_l[flat] -= 1
-                    directory[flat * span + line] = w
+                    directory[line] = w
                     size_l[flat] += 1
                     if isf:
                         n_io_l[flat] += 1

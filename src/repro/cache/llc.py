@@ -21,10 +21,11 @@ and DRAM-traffic accounting.  On top of the scalar paths it exposes
 :meth:`access_many`, the batched kernel PRIME+PROBE sweeps ride
 (see PERFORMANCE.md), :meth:`rx_burst`, which decomposes a multi-frame rx
 burst's lines, applies the burst in one engine call and books the counts
-it returns, and a memoized per-line slice/set decomposition so the
-complex hash is evaluated once per line ever, not once per access.  The
-LLC is the one place that maps lines to sets: callers that cache a
-decomposition key it on :attr:`mapping_epoch`.
+it returns, and a per-line memo of the slice/set decomposition that
+every path and backend goes through, so the index function is evaluated
+once per line and mapping, not once per access.  The LLC is the one
+place that maps lines to sets: callers that cache a decomposition key it
+on :attr:`mapping_epoch`.
 
 An optional *partition* object (the Section VII defense) takes over victim
 selection; see :mod:`repro.defense.partitioning`.  The pre-engine model is
@@ -113,11 +114,11 @@ class SlicedLLC:
         self.evict_hook: Callable[[int], None] | None = None
         self._offset_bits = self.geometry.offset_bits
         self._set_mask = self.geometry.sets_per_slice - 1
-        #: Memoized decomposition: line address -> flat set id.  The slice
-        #: hash is pure, so each line is hashed at most once per LLC; every
-        #: access path below goes through this memo, which removes the
-        #: repeated ``slice_of`` evaluations the legacy ``flat_set_of``
-        #: performed on the cpu_access/io_write hot paths.
+        #: Memoized decomposition: line address -> flat set id under the
+        #: current mapping.  Every access path goes through it, on every
+        #: backend, so each line is hashed at most once per mapping: one
+        #: address at a time through :meth:`flat_set_of`, lists through
+        #: :meth:`_flats_of_lines`.  A re-key reseeds it (:meth:`_rekey`).
         self._flat_memo: dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -132,8 +133,9 @@ class SlicedLLC:
         return self.slice_hash.slice_of(paddr)
 
     def flat_set_of(self, paddr: int) -> int:
-        """Flat set id under the active index backend (memoized per line;
-        the memo is cleared whenever an epochal backend re-keys)."""
+        """Flat set id under the active index backend: the one-address
+        entry to the memo, whose misses take the mapping's scalar
+        :meth:`~repro.cache.backends.IndexMapping.flat_of`."""
         line = paddr >> self._offset_bits
         flat = self._flat_memo.get(line)
         if flat is None:
@@ -142,36 +144,26 @@ class SlicedLLC:
         return flat
 
     def decompose_many(self, paddrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised ``(flat_set, line)`` decomposition of an address array.
+        """``(flat_set, line)`` arrays of an address array, through the
+        per-line memo (:meth:`_flats_of_lines`)."""
+        lines = np.asarray(paddrs, dtype=np.int64) >> self._offset_bits
+        return np.asarray(self._flats_of_lines(lines.tolist()), dtype=np.int64), lines
 
-        One numpy pass through the slice hash — no per-address Python.
-        Under an epochal backend the per-line memo fronts the mapping:
-        callers without a cached hint (every rx burst, and hint holders
-        refreshing after a re-key) decompose the same lines many times
-        per epoch, and the memo, reseeded with every resident line at
-        each re-key, spares them the keyed permutation.
-        """
-        paddrs = np.asarray(paddrs, dtype=np.int64)
-        lines = paddrs >> self._offset_bits
-        if self._epochal:
-            memo = self._flat_memo
-            line_list = lines.tolist()
-            flats = np.empty(len(line_list), dtype=np.int64)
-            missing = []
-            for i, line in enumerate(line_list):
-                flat = memo.get(line)
-                if flat is None:
-                    missing.append(i)
-                else:
-                    flats[i] = flat
-            if missing:
-                idx = np.asarray(missing, dtype=np.intp)
-                fresh = self.mapping.flats_of_many(paddrs[idx], lines[idx])
-                flats[idx] = fresh
-                for i, flat in zip(missing, fresh.tolist()):
-                    memo[line_list[i]] = flat
-            return flats, lines
-        return self.mapping.flats_of_many(paddrs, lines), lines
+    def _flats_of_lines(self, lines: list[int]) -> list[int]:
+        """Flat set ids of ``lines`` (Python ints) under the current
+        mapping: the memo serves the lines it holds, and the rest go to
+        one ``flats_of_many`` call and join it."""
+        memo = self._flat_memo
+        try:
+            return list(map(memo.__getitem__, lines))
+        except KeyError:
+            pass
+        fresh = np.asarray(
+            [line for line in lines if line not in memo], dtype=np.int64
+        )
+        flats = self.mapping.flats_of_many(fresh << self._offset_bits, fresh)
+        memo.update(zip(fresh.tolist(), flats.tolist()))
+        return list(map(memo.__getitem__, lines))
 
     # ------------------------------------------------------------------
     # Epoch re-keying (epochal backends only)
@@ -247,6 +239,13 @@ class SlicedLLC:
         flat = self._flat_memo.get(line)
         if flat is None:
             flat = self.flat_set_of(paddr)
+        return self._cpu_access_at(flat, line, write, now)
+
+    def _cpu_access_at(
+        self, flat: int, line: int, write: bool, now: int
+    ) -> tuple[bool, int]:
+        """:meth:`cpu_access` of a decomposed line, past the re-key check:
+        what :meth:`access_many` replays with its batch's flats."""
         if self.engine.touch(flat, line, set_dirty=write):
             self.stats.cpu_hits += 1
             return True, self.timing.llc_hit_latency
@@ -295,15 +294,17 @@ class SlicedLLC:
         changes only its own set (partition hooks included), so nothing
         else can evict that line first.  Sure hits are stamped in one
         vectorised step; every access from its set's first miss on
-        replays through the exact scalar path, in order.  Each access is
-        stamped ``tick + 1 + its position``, so tags, flags, stamps and
-        the tick end exactly as a loop of :meth:`cpu_access` leaves them.
+        replays, in order, through the body of :meth:`cpu_access`
+        (:meth:`_cpu_access_at`) with the batch's decomposition.  Each
+        access is stamped ``tick + 1 + its position``, so tags, flags,
+        stamps and the tick end exactly as a loop of :meth:`cpu_access`
+        leaves them.
 
         The batch starts at cycle ``now``, and each access at the cycle
         the loop would issue it: ``now`` plus the latency and ``extra``
         (what the caller adds per access, e.g. timer overhead) of every
-        access before it.  A replay passes :meth:`cpu_access` its own
-        start cycle, which a partition's presence clock reads.
+        access before it.  Each replay is handed its own start cycle,
+        which a partition's presence clock reads.
 
         With ``until`` (a cycle) the call runs only the longest prefix
         whose accesses all start before ``until``, taking a sure hit to
@@ -311,8 +312,8 @@ class SlicedLLC:
         ``llc_miss_latency + extra``.  Under an
         epochal backend it also stops where the mapping re-keys; the next
         call re-keys at its first access.  The returned arrays cover the
-        prefix.  Without ``until`` the whole batch runs, and a batch a
-        re-key lands inside replays through :meth:`cpu_access`.
+        prefix.  Without ``until`` the whole batch runs, as such
+        prefixes when re-keys land inside it.
 
         ``decomp`` lets callers that replay a fixed address sequence
         (eviction-set sweeps) pass the cached ``(flats, lines)``
@@ -338,14 +339,18 @@ class SlicedLLC:
                 decomp = None
             m = self._epoch_period - self._access_count
             if until is None and n > m:
-                # A re-key lands inside a batch that must run whole.
-                hits = np.empty(n, dtype=bool)
-                lats = np.empty(n, dtype=np.int64)
-                for i, paddr in enumerate(paddrs.tolist()):
-                    hits[i], lat = self.cpu_access(paddr, write=write, now=now)
-                    lats[i] = lat
-                    now += lat + extra
-                return hits, lats
+                # A re-key lands inside a batch that must run whole: run it
+                # as prefixes, each ending where the mapping re-keys.
+                parts = []
+                while len(paddrs):
+                    hits, lats = self.access_many(
+                        paddrs, write, now, decomp, sys.maxsize, extra
+                    )
+                    k = len(lats)
+                    parts.append((hits, lats))
+                    paddrs, decomp = paddrs[k:], None
+                    now += int(lats.sum()) + k * extra
+                return tuple(np.concatenate(part) for part in zip(*parts))
             m = min(n, m)
         miss_cost = timing.llc_miss_latency + extra
         bounded = until is not None and (m - 1) * miss_cost >= window
@@ -379,21 +384,21 @@ class SlicedLLC:
         n_sure = k - len(replays)
         hits = np.ones(k, dtype=bool)
         lats = np.full(k, hit_latency, dtype=np.int64)
+        if epochal:
+            self._access_count += k
         if n_sure:
             sure = np.flatnonzero(~replay)
-            if epochal:
-                self._access_count += n_sure
             engine.touch_many(flats[sure], ways[sure], set_dirty=write, positions=sure)
             self.stats.cpu_hits += n_sure
         done = 0
         step = hit_latency + extra
         late = 0  # what earlier replays cost beyond a hit
-        for i, paddr in zip(replays.tolist(), paddrs[replays].tolist()):
+        for i, flat, line in zip(
+            replays.tolist(), flats[replays].tolist(), lines[replays].tolist()
+        ):
             if i > done:
                 engine.skip(i - done)
-            hits[i], lat = self.cpu_access(
-                paddr, write=write, now=now + i * step + late
-            )
+            hits[i], lat = self._cpu_access_at(flat, line, write, now + i * step + late)
             lats[i] = lat
             late += lat - hit_latency
             done = i + 1
@@ -448,9 +453,7 @@ class SlicedLLC:
             self._access_count += 1
         engine = self.engine
         line = paddr >> self._offset_bits
-        flat = self._flat_memo.get(line)
-        if flat is None:
-            flat = self.flat_set_of(paddr)
+        flat = self.flat_set_of(paddr)
         if not self.ddio.enabled:
             # Direct to DRAM; snoop-invalidate any cached copy.
             self.traffic.writes += 1
@@ -461,7 +464,7 @@ class SlicedLLC:
                 if self.partition is not None:
                     self.partition.after_fill(self, flat, now)
             return
-        if engine.contains(flat, line):
+        if engine.contains(line):
             engine.mark_io(flat, line)
             self.stats.io_hits += 1
             if self.partition is not None:
@@ -530,10 +533,10 @@ class SlicedLLC:
         does not hold or the burst would reach a re-key
         (:meth:`accesses_until_rekey`): a burst runs under one mapping,
         and the caller delivers the frame that reaches the re-key on its
-        own.  So one :meth:`decompose_many` call, under the current
-        mapping, places every line of the burst; the engine returns the
-        burst's counts, which this adds to the stats, the DRAM traffic
-        and the telemetry.
+        own.  So the memo (:meth:`_flats_of_lines`), under the current
+        mapping, places every line of the burst, straight from its line
+        list; the engine returns the burst's counts, which this adds to
+        the stats, the DRAM traffic and the telemetry.
         """
         if not self.supports_rx_burst():
             raise RuntimeError(
@@ -545,10 +548,9 @@ class SlicedLLC:
                 f"{total_ops} burst accesses cross the re-key "
                 f"{self.accesses_until_rekey()} accesses ahead"
             )
-        paddrs = np.asarray(lines, dtype=np.int64) << self._offset_bits
-        flats = self.decompose_many(paddrs)[0].tolist()
         counts = self.engine.rx_burst_apply(
-            flats, lines, kinds, stamp_offs, total_ops, self.ddio.write_allocate_ways
+            self._flats_of_lines(lines), lines, kinds, stamp_offs, total_ops,
+            self.ddio.write_allocate_ways,
         )
         if self._epochal:
             self._access_count += total_ops
@@ -575,10 +577,7 @@ class SlicedLLC:
     def flush(self, paddr: int) -> int:
         """CLFLUSH: invalidate (with writeback if dirty); returns latency."""
         line = paddr >> self._offset_bits
-        flat = self._flat_memo.get(line)
-        if flat is None:
-            flat = self.flat_set_of(paddr)
-        flags = self.engine.invalidate(flat, line)
+        flags = self.engine.invalidate(self.flat_set_of(paddr), line)
         if flags is not None:
             self.stats.invalidations += 1
             if self.evict_hook is not None:
@@ -640,8 +639,7 @@ class SlicedLLC:
     # ------------------------------------------------------------------
     def is_resident(self, paddr: int) -> bool:
         """Whether the line holding ``paddr`` is currently cached."""
-        line = paddr >> self._offset_bits
-        return self.engine.contains(self.flat_set_of(paddr), line)
+        return self.engine.contains(paddr >> self._offset_bits)
 
     def set_occupancy(self, flat_set: int) -> tuple[int, int]:
         """(cpu_lines, io_lines) resident in ``flat_set``."""

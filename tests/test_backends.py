@@ -15,6 +15,8 @@ Pins the contracts the LLC integration relies on:
   loops under keyed and skewed backends (including batches a re-key
   lands inside), and ``access_many`` leaves the loop's raw engine state,
   stamps and tick included, whole or cut at ``until``;
+* ``access_many`` and ``rx_burst`` make no mapping call for a line the
+  LLC's memo holds, on every backend;
 * under a skewed backend a line only ever occupies its partition's ways;
 * spec parsing and the CLI surface (``backends list`` / ``--backend``).
 """
@@ -451,6 +453,46 @@ class TestBatchedScalarEquivalence:
                     done += k
             assert cut > 0
             assert batched.mapping_epoch == loop.mapping_epoch
+
+
+class TestOneDecompositionRule:
+    @pytest.mark.parametrize(
+        "spec", ["modulo", "keyed:epoch=100000", "skewed:partitions=2"]
+    )
+    def test_memo_held_lines_make_no_mapping_call(self, spec, monkeypatch):
+        """``access_many`` (its replays included) and ``rx_burst`` take
+        the flat of every line the memo holds from the memo, whichever
+        path put it there, and send the lines it lacks to one
+        ``flats_of_many`` call."""
+        llc = _llc(spec)
+        paddrs = _paddrs(np.random.default_rng(5), 900)
+        for paddr in paddrs[:300].tolist():
+            llc.cpu_access(paddr)
+        llc.access_many(paddrs[300:])
+        mapping = llc.mapping
+        calls = []
+
+        def counted(name):
+            real = getattr(mapping, name)
+
+            def call(paddrs, lines):
+                calls.append((name, np.size(lines)))
+                return real(paddrs, lines)
+
+            monkeypatch.setattr(mapping, name, call)
+
+        counted("flat_of")
+        counted("flats_of_many")
+        hits, _lats = llc.access_many(np.random.default_rng(6).permutation(paddrs))
+        assert not hits.all()  # misses, so replays ran
+        if llc.supports_rx_burst():
+            lines = list(dict.fromkeys((paddrs >> GEOMETRY.offset_bits).tolist()))
+            n = len(lines)
+            llc.rx_burst(lines, [0] * n, list(range(n)), n, 0)
+        assert calls == []
+        fresh = (np.arange(40, dtype=np.int64) + (1 << 17)) << GEOMETRY.offset_bits
+        llc.access_many(fresh)
+        assert calls == [("flats_of_many", 40)]
 
 
 class TestSkewedPartitions:
