@@ -9,8 +9,9 @@ Measures, on the bench-scale machine (256 monitored sets x 12 ways):
   pre-refactor cost of exactly the same accesses;
 * ``rx_frames_per_s`` / ``legacy_rx_frames_per_s`` — the batched rx
   datapath (burst drains handing whole frame groups to one vectorised
-  engine call) vs the frozen scalar one (:mod:`reference.nic`),
-  delivering an identical MTU-heavy frame mix through the event queue;
+  engine call) vs the frozen scalar one (:mod:`reference.nic` on
+  :class:`~reference.cache.LegacySlicedLLC`), delivering an identical
+  MTU-heavy frame mix through the event queue;
   ``rx_direct_*`` isolates the per-frame ``nic.deliver`` path, and
   ``rx_short_*`` the short bursts of the ``scan`` workload's traffic;
 * ``machine_init_ms`` / ``legacy_llc_init_ms`` — LLC construction cost
@@ -164,9 +165,18 @@ def _rx_frames(n_frames: int):
 
 
 def _rx_machine(legacy: bool) -> Machine:
-    """A bench-scale machine with the batched or the frozen rx datapath."""
+    """A bench-scale machine with the batched rx datapath, or with the
+    frozen one: the frozen NIC on the frozen LLC, so that the
+    denominator runs none of the cache code the ratio measures."""
     machine = Machine(MachineConfig().bench_scale())
     if legacy:
+        config = machine.config
+        machine.llc = LegacySlicedLLC(
+            geometry=config.cache,
+            ddio=config.ddio,
+            timing=config.timing,
+            traffic=machine.physmem.traffic,
+        )
         install_legacy_nic(machine)
     else:
         machine.install_nic()

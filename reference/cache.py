@@ -5,13 +5,18 @@ This module preserves the pre-engine implementation of the sliced LLC (one
 victim policy exactly as they shipped before the packed
 :class:`~repro.cache.engine.CacheEngine` replaced them on the hot path.
 
-**Production code must not import this.**  Its only consumer is
-``tests/test_engine_equivalence.py``, which replays randomized
-CPU/DMA/flush/partition traces through both models and asserts identical
-eviction decisions, stats and probe outcomes.  Keeping the reference
-checked in means the equivalence harness keeps guarding the engine against
-behavioural drift in future PRs; if the harness is ever retired, delete
-this file with it.
+**Production code must not import this.**  It has two consumers:
+
+* ``tests/test_engine_equivalence.py`` replays randomized
+  CPU/DMA/flush/partition traces through both models and asserts
+  identical eviction decisions, stats and probe outcomes, so the harness
+  keeps guarding the engine against behavioural drift;
+* :mod:`reference.bench`, the hot-path bench, runs the denominators of
+  ``sweep_speedup`` (a per-line sweep) and ``rx_speedup`` (the frozen NIC
+  of :mod:`reference.nic` delivering into this LLC) on it, so that no
+  change to the live cache code moves a denominator.
+
+Delete this file only with both.
 """
 
 from __future__ import annotations
@@ -162,21 +167,6 @@ class LegacySlicedLLC:
                 self.stats.writebacks += 1
                 self.traffic.writes += 1
         return self.timing.llc_hit_latency
-
-    def invalidate_set_lines(self, flat_set: int, io: bool) -> int:
-        cset = self.sets[flat_set]
-        victims = [
-            line for line, flags in cset.lines.items() if bool(flags & LINE_IO) == io
-        ]
-        for line in victims:
-            flags = cset.invalidate(line)
-            self.stats.invalidations += 1
-            if self.evict_hook is not None:
-                self.evict_hook(line)
-            if flags is not None and flags & LINE_DIRTY:
-                self.stats.writebacks += 1
-                self.traffic.writes += 1
-        return len(victims)
 
     def _retire(self, evicted: tuple[int, int], by_io: bool) -> None:
         line, flags = evicted

@@ -14,6 +14,13 @@ arrays shared by *all* sets:
   recency, so "LRU" is "minimum stamp" — exactly the order the legacy
   ``OrderedDict`` maintained structurally.
 
+An empty way holds flags 0 and stamp 0, and a line's stamp is at least 1.
+Every single-line victim search (the scalar inserts and evictions, and
+the in-order rx pass) goes through one helper, :meth:`CacheEngine._lru_way`,
+which finds the minimum stamp of one row with a Python loop over the
+row's stamps (and flags, for one origin), or one ``argmin`` when every
+way holds a line.
+
 A single Python dict (``line -> way``) is kept as a directory for O(1)
 scalar lookups, and small Python lists track per-set occupancy and
 I/O-line counts.  The line alone keys the directory because a resident
@@ -124,7 +131,7 @@ class CacheEngine:
         way = self._dir.get(line)
         if way is None:
             return None
-        return int(self.flags[flat * self.ways + way])
+        return self.flags.item(flat * self.ways + way)
 
     def size(self, flat: int) -> int:
         """Number of resident lines in a set."""
@@ -158,42 +165,30 @@ class CacheEngine:
 
         Returns the evicted ``(line, flags)`` or None.  The caller is
         responsible for the line not already being present — same contract
-        as the legacy ``CacheSet.insert``.
+        as the legacy ``CacheSet.insert``.  In a full set the line takes
+        the way its eviction frees, in any other the first free way.
         """
+        ways = self.ways
+        base = flat * ways
         evicted = None
-        if self._size[flat] >= self.ways:
-            evicted = self.evict_lru(flat)
-        base = flat * self.ways
-        # Find a free way: tags slice scan (size < ways guarantees one).
-        row = self.tags[base : base + self.ways]
-        way = int(np.argmin(row))  # empty ways hold -1 == the row minimum
-        if row[way] != -1:  # pragma: no cover - guarded by size bookkeeping
-            raise RuntimeError(f"set {flat} full despite size {self._size[flat]}")
-        idx = base + way
-        self.tags[idx] = line
-        self.flags[idx] = flags
-        self._tick += 1
-        self.stamps[idx] = self._tick
-        self._dir[line] = way
-        self._size[flat] += 1
-        if flags & LINE_IO:
-            self._n_io[flat] += 1
+        if self._size[flat] >= ways:
+            way = self._lru_way(flat, 0, ways)
+            evicted = self._drop(flat, base + way)
+        else:
+            try:
+                way = self.tags[base : base + ways].tolist().index(-1)
+            except ValueError:  # pragma: no cover - guarded by size bookkeeping
+                raise RuntimeError(
+                    f"set {flat} full despite size {self._size[flat]}"
+                ) from None
+        self._put(flat, way, line, flags)
         return evicted
 
     def evict_lru(self, flat: int) -> tuple[int, int]:
         """Evict and return the least recently used line of a set."""
         if not self._size[flat]:
             raise LookupError("evict_lru on empty set")
-        base = flat * self.ways
-        stamps = self.stamps[base : base + self.ways]
-        if self._size[flat] == self.ways:
-            way = int(np.argmin(stamps))
-        else:
-            # Skip empty ways (stamp irrelevant): pick min among occupied.
-            row = self.tags[base : base + self.ways]
-            occupied = row != -1
-            way = int(np.where(occupied, stamps, np.iinfo(np.int64).max).argmin())
-        return self._drop(flat, base + way)
+        return self._drop(flat, flat * self.ways + self._lru_way(flat, 0, self.ways))
 
     def insert_in(
         self, flat: int, line: int, flags: int, lo: int, hi: int
@@ -203,50 +198,48 @@ class CacheEngine:
         range is full; returns the evicted ``(line, flags)`` or None.
         """
         base = flat * self.ways
-        row = self.tags[base + lo : base + hi]
+        row = self.tags[base + lo : base + hi].tolist()
         evicted = None
-        if (row != -1).all():
-            evicted = self.evict_lru_in(flat, lo, hi)
-            row = self.tags[base + lo : base + hi]
-        way = lo + int(np.argmin(row))  # empty ways hold -1, the row minimum
-        idx = base + way
-        self.tags[idx] = line
-        self.flags[idx] = flags
-        self._tick += 1
-        self.stamps[idx] = self._tick
-        self._dir[line] = way
-        self._size[flat] += 1
-        if flags & LINE_IO:
-            self._n_io[flat] += 1
+        if -1 in row:
+            way = lo + row.index(-1)
+        else:
+            way = self._lru_way(flat, lo, hi)
+            evicted = self._drop(flat, base + way)
+        self._put(flat, way, line, flags)
         return evicted
 
     def evict_lru_in(self, flat: int, lo: int, hi: int) -> tuple[int, int]:
         """Evict the LRU line among ways ``[lo, hi)`` of a set."""
-        base = flat * self.ways
-        row = self.tags[base + lo : base + hi]
-        occupied = row != -1
-        if not occupied.any():
+        way = self._lru_way(flat, lo, hi)
+        if way < 0:
             raise LookupError("evict_lru_in on empty way range")
-        stamps = np.where(
-            occupied,
-            self.stamps[base + lo : base + hi],
-            np.iinfo(np.int64).max,
-        )
-        way = lo + int(stamps.argmin())
-        return self._drop(flat, base + way)
+        return self._drop(flat, flat * self.ways + way)
 
     def evict_lru_of(self, flat: int, io: bool) -> tuple[int, int] | None:
         """Evict the LRU line whose origin matches ``io``; None if no match."""
-        count = self._n_io[flat] if io else self._size[flat] - self._n_io[flat]
-        if not count:
-            return None
+        way = self._lru_way(flat, 0, self.ways, io)
+        return None if way < 0 else self._drop(flat, flat * self.ways + way)
+
+    def _lru_way(self, flat: int, lo: int, hi: int, io: bool | None = None) -> int:
+        """The way in ``[lo, hi)`` of set ``flat`` holding its least
+        recently used line, among lines of origin ``io`` when given; -1
+        when no line qualifies.  A stamp of 0 marks an empty way."""
         base = flat * self.ways
-        row = self.tags[base : base + self.ways]
-        flag_row = self.flags[base : base + self.ways]
-        match = (row != -1) & (((flag_row & LINE_IO) != 0) == io)
-        stamps = np.where(match, self.stamps[base : base + self.ways], np.iinfo(np.int64).max)
-        way = int(stamps.argmin())
-        return self._drop(flat, base + way)
+        if io is None and self._size[flat] == self.ways:
+            # Every way holds a line: one numpy call beats a Python loop.
+            return lo + int(self.stamps[base + lo : base + hi].argmin())
+        stamps = self.stamps[base + lo : base + hi].tolist()
+        victim, oldest = -1, _BIG
+        if io is None:
+            for way, stamp in enumerate(stamps):
+                if 0 < stamp < oldest:
+                    victim, oldest = way, stamp
+        else:
+            want = LINE_IO if io else 0
+            for way, flags in enumerate(self.flags[base + lo : base + hi].tolist()):
+                if flags & LINE_IO == want and 0 < stamps[way] < oldest:
+                    victim, oldest = way, stamps[way]
+        return victim if victim < 0 else lo + victim
 
     def invalidate(self, flat: int, line: int) -> int | None:
         """Drop a line without eviction bookkeeping; return its flags."""
@@ -262,17 +255,29 @@ class CacheEngine:
         if way is None:
             raise LookupError(f"line {line:#x} not resident")
         idx = flat * self.ways + way
-        flags = int(self.flags[idx])
+        flags = self.flags.item(idx)
         if not (flags & LINE_IO):
             self._n_io[flat] += 1
         self.flags[idx] = flags | LINE_IO | LINE_DIRTY
         self._tick += 1
         self.stamps[idx] = self._tick
 
+    def _put(self, flat: int, way: int, line: int, flags: int) -> None:
+        """Place a new line, stamped MRU, in a free way of a set."""
+        idx = flat * self.ways + way
+        self.tags[idx] = line
+        self.flags[idx] = flags
+        self._tick += 1
+        self.stamps[idx] = self._tick
+        self._dir[line] = way
+        self._size[flat] += 1
+        if flags & LINE_IO:
+            self._n_io[flat] += 1
+
     def _drop(self, flat: int, idx: int) -> tuple[int, int]:
         """Remove the line at flat index ``idx``; return (line, flags)."""
-        line = int(self.tags[idx])
-        flags = int(self.flags[idx])
+        line = self.tags.item(idx)
+        flags = self.flags.item(idx)
         self.tags[idx] = -1
         self.flags[idx] = 0
         self.stamps[idx] = 0
@@ -332,21 +337,17 @@ class CacheEngine:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def lines_in_lru_order(self, flat: int, io: bool | None = None) -> list[tuple[int, int]]:
-        """Resident ``(line, flags)`` pairs, LRU first, optionally filtered
-        to one origin — the order the legacy OrderedDict iterated in."""
-        base = flat * self.ways
-        out = []
-        for way in range(self.ways):
-            line = int(self.tags[base + way])
-            if line == -1:
-                continue
-            flags = int(self.flags[base + way])
-            if io is not None and bool(flags & LINE_IO) != io:
-                continue
-            out.append((int(self.stamps[base + way]), line, flags))
-        out.sort()
-        return [(line, flags) for _stamp, line, flags in out]
+    def lines_in_lru_order(self, flat: int) -> list[tuple[int, int]]:
+        """Resident ``(line, flags)`` pairs, LRU first — the order the
+        legacy OrderedDict iterated in."""
+        row = slice(flat * self.ways, (flat + 1) * self.ways)
+        rows = (self.stamps[row], self.tags[row], self.flags[row])
+        resident = sorted(
+            (stamp, line, flags)
+            for stamp, line, flags in zip(*(r.tolist() for r in rows))
+            if line != -1
+        )
+        return [(line, flags) for _stamp, line, flags in resident]
 
     # ------------------------------------------------------------------
     # Batched kernels
@@ -423,7 +424,8 @@ class CacheEngine:
         io_cap: int,
     ) -> RxBurstCounts:
         """The burst as one pass in stream order: one directory lookup per
-        op, and a read of the set's row only where a miss picks a way."""
+        op, and a victim search (:meth:`_lru_way`) or a read of the set's
+        row only where a miss picks a way."""
         ways = self.ways
         directory = self._dir
         size_l = self._size
@@ -431,6 +433,7 @@ class CacheEngine:
         tags = self.tags
         flags = self.flags
         stamps = self.stamps
+        lru_way = self._lru_way
         stamp0 = self._tick + 1
         io_dirty = LINE_IO | LINE_DIRTY
         fill_hits = new_fills = cpu_hits = cpu_misses = 0
@@ -442,7 +445,7 @@ class CacheEngine:
                 slot = flat * ways + way
                 if kind == 0:
                     fill_hits += 1
-                    old = int(flags[slot])
+                    old = flags.item(slot)
                     if old != io_dirty:
                         if not old & LINE_IO:
                             n_io_l[flat] += 1
@@ -450,35 +453,26 @@ class CacheEngine:
                 else:
                     cpu_hits += 1
                     if kind == 2:
-                        flags[slot] = int(flags[slot]) | LINE_DIRTY
+                        flags[slot] = flags.item(slot) | LINE_DIRTY
                 stamps[slot] = stamp0 + off
                 continue
             base = flat * ways
             full = size_l[flat] >= ways
             if kind == 0:
                 new_fills += 1
-                if n_io_l[flat] >= io_cap:
-                    # The LRU I/O line; a loop beats numpy on one row.
-                    row_stamps = stamps[base : base + ways].tolist()
-                    victim, oldest = -1, _BIG
-                    for w, f in enumerate(flags[base : base + ways].tolist()):
-                        if f & LINE_IO and row_stamps[w] < oldest:
-                            victim, oldest = w, row_stamps[w]
-                elif full:
-                    victim = int(stamps[base : base + ways].argmin())
-                else:
-                    victim = -1
             else:
                 cpu_misses += 1
-                victim = int(stamps[base : base + ways].argmin()) if full else -1
+            if kind == 0 and n_io_l[flat] >= io_cap:
+                victim = lru_way(flat, 0, ways, True)
+            else:
+                victim = lru_way(flat, 0, ways) if full else -1
             if victim < 0:
-                # First free way: empty ways hold -1, the row minimum.
-                way = int(tags[base : base + ways].argmin())
+                way = tags[base : base + ways].tolist().index(-1)
                 size_l[flat] += 1
             else:
                 vslot = base + victim
-                vline = int(tags[vslot])
-                vflags = int(flags[vslot])
+                vline = tags.item(vslot)
+                vflags = flags.item(vslot)
                 del directory[vline]
                 if vflags & LINE_DIRTY:
                     dirty += 1
@@ -495,7 +489,7 @@ class CacheEngine:
                     # A cap eviction in a set with a free way: the fill
                     # takes the first free way, which may precede the
                     # victim's.
-                    free = int(tags[base : base + ways].argmin())
+                    free = tags[base : base + ways].tolist().index(-1)
                     if free < victim:
                         way = free
                         tags[vslot] = -1

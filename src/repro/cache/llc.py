@@ -587,22 +587,6 @@ class SlicedLLC:
                 self.traffic.writes += 1
         return self.timing.llc_hit_latency
 
-    def invalidate_set_lines(self, flat_set: int, io: bool) -> int:
-        """Invalidate all lines of one origin in a set (partition reshaping).
-
-        Dirty lines are written back.  Returns the number invalidated.
-        """
-        victims = self.engine.lines_in_lru_order(flat_set, io=io)
-        for line, _flags in victims:
-            flags = self.engine.invalidate(flat_set, line)
-            self.stats.invalidations += 1
-            if self.evict_hook is not None:
-                self.evict_hook(line)
-            if flags is not None and flags & LINE_DIRTY:
-                self.stats.writebacks += 1
-                self.traffic.writes += 1
-        return len(victims)
-
     def _retire(self, evicted: tuple[int, int], by_io: bool) -> None:
         """Account for an evicted line (writeback + attribution counters)."""
         line, flags = evicted

@@ -8,7 +8,9 @@ these tests pin the invariants the façade relies on:
 * the DDIO way cap holds under arbitrary DMA streams;
 * dirty evictions are counted as writebacks exactly once;
 * the batched kernels (``lookup_many``/``touch_many``) are equivalent to
-  their scalar counterparts, including duplicate-line batches.
+  their scalar counterparts, including duplicate-line batches;
+* every scalar fill and eviction picks the way, and leaves the rows,
+  that the earlier numpy victim formulas (kept below as references) did.
 """
 
 from collections import OrderedDict
@@ -230,3 +232,172 @@ class TestFacadeInvariants:
             assert llc.engine.lines_in_lru_order(int(flat)) == (
                 other.engine.lines_in_lru_order(int(flat))
             )
+
+
+# ----------------------------------------------------------------------
+# Way placement: the scalar fills and evictions against the numpy victim
+# formulas they replaced, applied op for op to a twin engine.
+# ----------------------------------------------------------------------
+_MAX = np.iinfo(np.int64).max
+
+
+def _ref_place(engine, flat, way, line, flags):
+    idx = flat * engine.ways + way
+    assert engine.tags[idx] == -1
+    engine.tags[idx] = line
+    engine.flags[idx] = flags
+    engine._tick += 1
+    engine.stamps[idx] = engine._tick
+    engine._dir[line] = way
+    engine._size[flat] += 1
+    if flags & LINE_IO:
+        engine._n_io[flat] += 1
+
+
+def ref_evict_lru(engine, flat):
+    base = flat * engine.ways
+    stamps = engine.stamps[base : base + engine.ways]
+    if engine._size[flat] == engine.ways:
+        way = int(np.argmin(stamps))
+    else:
+        occupied = engine.tags[base : base + engine.ways] != -1
+        way = int(np.where(occupied, stamps, _MAX).argmin())
+    return engine._drop(flat, base + way)
+
+
+def ref_insert(engine, flat, line, flags):
+    evicted = None
+    if engine._size[flat] >= engine.ways:
+        evicted = ref_evict_lru(engine, flat)
+    base = flat * engine.ways
+    way = int(np.argmin(engine.tags[base : base + engine.ways]))
+    _ref_place(engine, flat, way, line, flags)
+    return evicted
+
+
+def ref_evict_lru_in(engine, flat, lo, hi):
+    base = flat * engine.ways
+    occupied = engine.tags[base + lo : base + hi] != -1
+    if not occupied.any():
+        raise LookupError("evict_lru_in on empty way range")
+    stamps = np.where(occupied, engine.stamps[base + lo : base + hi], _MAX)
+    return engine._drop(flat, base + lo + int(stamps.argmin()))
+
+
+def ref_insert_in(engine, flat, line, flags, lo, hi):
+    base = flat * engine.ways
+    evicted = None
+    if (engine.tags[base + lo : base + hi] != -1).all():
+        evicted = ref_evict_lru_in(engine, flat, lo, hi)
+    way = lo + int(np.argmin(engine.tags[base + lo : base + hi]))
+    _ref_place(engine, flat, way, line, flags)
+    return evicted
+
+
+def ref_evict_lru_of(engine, flat, io):
+    count = engine._n_io[flat] if io else engine._size[flat] - engine._n_io[flat]
+    if not count:
+        return None
+    base = flat * engine.ways
+    row = engine.tags[base : base + engine.ways]
+    flag_row = engine.flags[base : base + engine.ways]
+    match = (row != -1) & (((flag_row & LINE_IO) != 0) == io)
+    stamps = np.where(match, engine.stamps[base : base + engine.ways], _MAX)
+    return engine._drop(flat, base + int(stamps.argmin()))
+
+
+def _assert_same(engine, ref):
+    assert np.array_equal(engine.tags2, ref.tags2)
+    assert np.array_equal(engine.flags2, ref.flags2)
+    assert np.array_equal(engine.stamps2, ref.stamps2)
+    assert engine._dir == ref._dir
+    assert engine._size == ref._size
+    assert engine._n_io == ref._n_io
+    assert engine._tick == ref._tick
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LookupError as exc:
+        return type(exc)
+
+
+# (op, line, io, a, b): 0=insert, 1=insert_in, 2=evict_lru,
+# 3=evict_lru_in, 4=evict_lru_of, 5=invalidate (punches holes), 6=touch;
+# ``a`` and ``b`` pick the way range ``[lo, hi)``.  A line's set is a
+# function of the line, as under any index mapping.
+placement_ops = st.lists(
+    st.tuples(
+        st.integers(0, 6),
+        st.integers(0, 40),
+        st.booleans(),
+        st.integers(0, 7),
+        st.integers(0, 7),
+    ),
+    max_size=200,
+)
+
+
+class TestWayPlacement:
+    @given(placement_ops, st.integers(1, 8))
+    @settings(max_examples=120, deadline=None)
+    def test_scalar_paths_match_the_numpy_formulas(self, ops, ways):
+        engine = CacheEngine(n_sets=3, ways=ways)
+        ref = CacheEngine(n_sets=3, ways=ways)
+        for op, line, io, a, b in ops:
+            flat = line % 3
+            lo = a % ways
+            hi = lo + 1 + b % (ways - lo)
+            flags = LINE_IO | LINE_DIRTY if io else 0
+            if op in (0, 1) and engine.contains(line):
+                op = 6  # the fills' contract: the line is not resident
+            if op == 0:
+                got = engine.insert(flat, line, flags)
+                want = ref_insert(ref, flat, line, flags)
+            elif op == 1:
+                got = engine.insert_in(flat, line, flags, lo, hi)
+                want = ref_insert_in(ref, flat, line, flags, lo, hi)
+            elif op == 2:
+                if not engine.size(flat):
+                    continue
+                got = engine.evict_lru(flat)
+                want = ref_evict_lru(ref, flat)
+            elif op == 3:
+                got = _outcome(engine.evict_lru_in, flat, lo, hi)
+                want = _outcome(ref_evict_lru_in, ref, flat, lo, hi)
+            elif op == 4:
+                got = engine.evict_lru_of(flat, io)
+                want = ref_evict_lru_of(ref, flat, io)
+            elif op == 5:
+                got = engine.invalidate(flat, line)
+                want = ref.invalidate(flat, line)
+            else:
+                got = engine.touch(flat, line)
+                want = ref.touch(flat, line)
+            assert got == want
+            if op in (0, 1):
+                assert engine._dir[line] == ref._dir[line]
+            _assert_same(engine, ref)
+            # The helper's occupancy test: only empty ways hold stamp 0.
+            assert np.array_equal(engine.stamps == 0, engine.tags == -1)
+            assert not engine.flags[engine.tags == -1].any()
+
+    def test_fill_after_evict_lru_of_takes_the_first_free_way(self):
+        """An origin eviction that frees a later way than the set's first
+        free one leaves the fill in that first free way (the DDIO cap's
+        evict-then-insert in ``SlicedLLC.io_write`` relies on this)."""
+        engine = CacheEngine(n_sets=1, ways=4)
+        ref = CacheEngine(n_sets=1, ways=4)
+        lines = ((10, 0), (11, LINE_IO | LINE_DIRTY), (12, 0), (13, LINE_IO))
+        for line, flags in lines:
+            engine.insert(0, line, flags)
+            ref_insert(ref, 0, line, flags)
+        engine.invalidate(0, 10)  # way 0 is free
+        ref.invalidate(0, 10)
+        assert engine.evict_lru_of(0, io=True) == (11, LINE_IO | LINE_DIRTY)
+        assert ref_evict_lru_of(ref, 0, io=True) == (11, LINE_IO | LINE_DIRTY)
+        assert engine.insert(0, 14, 0) is ref_insert(ref, 0, 14, 0) is None
+        assert engine._dir[14] == 0  # not way 1, the one just freed
+        assert engine.tags2[0].tolist() == [14, -1, 12, 13]
+        _assert_same(engine, ref)

@@ -65,7 +65,7 @@ class TestHierarchy:
     def test_inclusion_back_invalidation(self, hierarchy, llc):
         hierarchy.access(0x3000)
         assert hierarchy.l1.access(0x3000)
-        llc.invalidate_set_lines(llc.flat_set_of(0x3000), io=False)
+        llc.flush(0x3000)
         # Inclusive: the L1 copy must be gone too.
         assert not hierarchy.l1.access(0x3000)
 
@@ -87,7 +87,7 @@ class TestHierarchy:
         b = CacheHierarchy(llc, l1=L1Cache(size_kb=4, ways=2))
         a.access(0x5000)
         b.access(0x5000)
-        llc.invalidate_set_lines(llc.flat_set_of(0x5000), io=False)
+        llc.flush(0x5000)
         assert not a.l1.access(0x5000)
         assert not b.l1.access(0x5000)
 

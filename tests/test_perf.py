@@ -48,8 +48,7 @@ class TestMemAgent:
         base = agent.mmap(1)
         agent.read(base)
         paddr = agent.process.addrspace.translate(base)
-        flat = llc.flat_set_of(paddr)
-        llc.invalidate_set_lines(flat, io=False)
+        llc.flush(paddr)
         assert not agent.hierarchy.l1.access(paddr)
 
 
