@@ -12,8 +12,8 @@ victim policy exactly as they shipped before the packed
   identical eviction decisions, stats and probe outcomes, so the harness
   keeps guarding the engine against behavioural drift;
 * :mod:`reference.bench`, the hot-path bench, runs the denominators of
-  ``sweep_speedup`` (a per-line sweep) and ``rx_speedup`` (the frozen NIC
-  of :mod:`reference.nic` delivering into this LLC) on it, so that no
+  ``sweep_speedup`` (a per-line sweep) and of the rx ratios (the frozen
+  NIC of :mod:`reference.nic` delivering into this LLC) on it, so that no
   change to the live cache code moves a denominator.
 
 Delete this file only with both.

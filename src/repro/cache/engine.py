@@ -16,7 +16,7 @@ arrays shared by *all* sets:
 
 An empty way holds flags 0 and stamp 0, and a line's stamp is at least 1.
 Every single-line victim search (the scalar inserts and evictions, and
-the in-order rx pass) goes through one helper, :meth:`CacheEngine._lru_way`,
+the rx burst pass) goes through one helper, :meth:`CacheEngine._lru_way`,
 which finds the minimum stamp of one row with a Python loop over the
 row's stamps (and flags, for one origin), or one ``argmin`` when every
 way holds a line.
@@ -45,12 +45,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.cache.cacheset import LINE_DIRTY, LINE_IO
-
-#: Bursts of at least this many ops take the round-by-rank kernel; shorter
-#: ones take the in-order pass.  Set where the two cost the same on the rx
-#: hot-path stream's bursts (``scripts/rx_crossover.py``; PERFORMANCE.md,
-#: "The rx datapath").
-ROUND_KERNEL_MIN_OPS = 360
 
 _BIG = np.iinfo(np.int64).max
 
@@ -91,8 +85,6 @@ class CacheEngine:
         "flags",
         "stamps",
         "tags2",
-        "flags2",
-        "stamps2",
         "_size",
         "_n_io",
         "_dir",
@@ -110,10 +102,8 @@ class CacheEngine:
         self.tags = np.full(total, -1, dtype=np.int64)
         self.flags = np.zeros(total, dtype=np.uint8)
         self.stamps = np.zeros(total, dtype=np.int64)
-        # 2-D views over the same memory, for row gathers in batched ops.
+        # A 2-D view over the same memory, for lookup_many's row gathers.
         self.tags2 = self.tags.reshape(n_sets, ways)
-        self.flags2 = self.flags.reshape(n_sets, ways)
-        self.stamps2 = self.stamps.reshape(n_sets, ways)
         self._size = [0] * n_sets
         self._n_io = [0] * n_sets
         #: Directory: resident line -> its way in its set.
@@ -207,13 +197,6 @@ class CacheEngine:
             evicted = self._drop(flat, base + way)
         self._put(flat, way, line, flags)
         return evicted
-
-    def evict_lru_in(self, flat: int, lo: int, hi: int) -> tuple[int, int]:
-        """Evict the LRU line among ways ``[lo, hi)`` of a set."""
-        way = self._lru_way(flat, lo, hi)
-        if way < 0:
-            raise LookupError("evict_lru_in on empty way range")
-        return self._drop(flat, flat * self.ways + way)
 
     def evict_lru_of(self, flat: int, io: bool) -> tuple[int, int] | None:
         """Evict the LRU line whose origin matches ``io``; None if no match."""
@@ -387,8 +370,8 @@ class CacheEngine:
         matter, and ``stamp_offs[i]`` carries the 0-based position of the
         **last** op on that line within the burst's ``total_ops`` ticks.
         Replaying the stream sequentially would therefore leave line ``i``
-        stamped ``tick + 1 + stamp_offs[i]``, which is what both paths
-        below write; the tick ends ``total_ops`` on.
+        stamped ``tick + 1 + stamp_offs[i]``, which is what this writes;
+        the tick ends ``total_ops`` on.
 
         A fill that misses evicts the set's LRU I/O line once the set
         holds ``io_cap`` I/O lines (the DDIO way cap, at least 1, so there
@@ -400,32 +383,12 @@ class CacheEngine:
         buffer lines occupy distinct sets, skb ops follow every folded
         final, frames are appended in arrival order).
 
-        A burst of fewer than :data:`ROUND_KERNEL_MIN_OPS` ops runs as one
-        in-order scalar pass over the lists (:meth:`_rx_in_order`); a
-        longer one runs in rounds by within-set rank (:meth:`_rx_rounds`)
-        over arrays of them, whose fixed numpy cost per round pays only
-        on long bursts.  Both leave the same
-        state and return the same :class:`RxBurstCounts`, pinned by
-        ``tests/test_rx_equivalence.py``.
+        The burst runs as one pass in stream order: one directory lookup
+        per op, and a victim search (:meth:`_lru_way`) or a read of the
+        set's row only where a miss picks a way.  It leaves the state that
+        running the unfolded ops one at a time through ``io_write`` and
+        ``cpu_access`` leaves, pinned by ``tests/test_rx_equivalence.py``.
         """
-        if len(flats) < ROUND_KERNEL_MIN_OPS:
-            counts = self._rx_in_order(flats, lines, kinds, stamp_offs, io_cap)
-        else:
-            counts = self._rx_rounds(flats, lines, kinds, stamp_offs, io_cap)
-        self._tick += total_ops
-        return counts
-
-    def _rx_in_order(
-        self,
-        flats: list[int],
-        lines: list[int],
-        kinds: list[int],
-        stamp_offs: list[int],
-        io_cap: int,
-    ) -> RxBurstCounts:
-        """The burst as one pass in stream order: one directory lookup per
-        op, and a victim search (:meth:`_lru_way`) or a read of the set's
-        row only where a miss picks a way."""
         ways = self.ways
         directory = self._dir
         size_l = self._size
@@ -504,192 +467,10 @@ class CacheEngine:
                 n_io_l[flat] += 1
             else:
                 flags[slot] = LINE_DIRTY if kind == 2 else 0
+        self._tick += total_ops
         return RxBurstCounts(
             fill_hits, new_fills, cpu_hits, cpu_misses, dirty, io_by_fill, io_by_cpu,
             cpu_by_fill,
-        )
-
-    def _rx_rounds(
-        self,
-        flats: list[int],
-        lines: list[int],
-        kinds: list[int],
-        stamp_offs: list[int],
-        io_cap: int,
-    ) -> RxBurstCounts:
-        """The burst in rounds by within-set rank.
-
-        Per-set state is independent across sets and the only
-        order-sensitive decisions (victim selection) are confined to one
-        set, so round ``r`` takes each set's ``r``-th op in stream order.
-        Within a round every set appears at most once, which makes a
-        vectorised hit/insert step exact against the live arrays — and
-        since a round's stamps/tags land before the next round's gather,
-        cross-op effects inside a set (a fill evicting a line a later op
-        re-misses on, a second fill of the same line becoming a mark-io
-        hit) resolve exactly as the sequential loop would.  Structural
-        misses under the DDIO way cap make multi-miss sets the *common*
-        case at line rate, so the kernel is total: it never declines.
-        Same-set ops are listed in ascending position order, so a stable
-        sort on ``flats`` alone yields the rank.
-        """
-        flats, lines, kinds, stamp_offs = (
-            np.asarray(a, dtype=np.int64) for a in (flats, lines, kinds, stamp_offs)
-        )
-        ways = self.ways
-        n = len(flats)
-        base_stamp = self._tick + 1
-        # Rank ops within their set.  Sets referenced once (the vast
-        # majority) need no ordering at all; only the duplicate subset is
-        # stable-sorted, which is far cheaper than sorting the full burst.
-        counts = np.bincount(flats, minlength=self.n_sets)
-        dup_mask = counts[flats] > 1
-        if dup_mask.any():
-            dup_idx = np.flatnonzero(dup_mask)
-            sorder = np.argsort(flats[dup_idx], kind="stable")
-            sordered = dup_idx[sorder]
-            sflats = flats[sordered]
-            m = len(sordered)
-            seq = np.arange(m)
-            firsts = np.empty(m, dtype=bool)
-            firsts[:1] = True
-            firsts[1:] = sflats[1:] != sflats[:-1]
-            rank_sub = seq - np.maximum.accumulate(np.where(firsts, seq, 0))
-            n_rounds = int(rank_sub.max()) + 1
-            rounds = [
-                np.concatenate([np.flatnonzero(~dup_mask), sordered[firsts]])
-            ]
-            for r in range(1, n_rounds):
-                rounds.append(sordered[rank_sub == r])
-        else:
-            rounds = [None]
-        hit_all = np.empty(n, dtype=bool)
-        ev_pos_parts: list[np.ndarray] = []
-        ev_lines_parts: list[np.ndarray] = []
-        ev_flags_parts: list[np.ndarray] = []
-        directory = self._dir
-        size_l = self._size
-        n_io_l = self._n_io
-        for sel in rounds:
-            if sel is None:
-                f, ln, k = flats, lines, kinds
-            else:
-                f = flats[sel]
-                ln = lines[sel]
-                k = kinds[sel]
-            tag_rows = self.tags2[f]
-            eq = tag_rows == ln[:, None]
-            way = eq.argmax(axis=1)
-            # argmax returns 0 for an all-False row; one 1-D gather
-            # distinguishes hits (cheaper than a row-wise ``any``).
-            hit = tag_rows[np.arange(len(f)), way] == ln
-            if sel is None:
-                hit_all = hit
-            else:
-                hit_all[sel] = hit
-            if not hit.all():
-                m_idx = np.flatnonzero(~hit)
-                mflats = f[m_idx]
-                mkinds = k[m_idx]
-                trows = tag_rows[m_idx]
-                frows = self.flags2[mflats]
-                srows = self.stamps2[mflats]
-                io_rows = (frows & LINE_IO) != 0
-                occupied = trows != -1
-                io_counts = io_rows.sum(axis=1)
-                full = occupied.sum(axis=1) >= ways
-                is_fill = mkinds == 0
-                # A fill evicts the set's LRU I/O line at the cap (at least
-                # 1, so there is one), else the LRU line of a full set.
-                at_cap = is_fill & (io_counts >= io_cap)
-                victim_io = np.where(io_rows, srows, _BIG).argmin(axis=1)
-                victim_any = np.where(occupied, srows, _BIG).argmin(axis=1)
-                # First free way: empty slots hold -1, the row minimum.  A
-                # cap eviction in a non-full set inserts into the first
-                # empty slot, which may precede the victim's.
-                free_way = trows.argmin(axis=1)
-                way_m = np.where(
-                    at_cap,
-                    np.where(full, victim_io, np.minimum(free_way, victim_io)),
-                    np.where(full, victim_any, free_way),
-                )
-                evict = at_cap | full
-                rows_m = np.arange(len(m_idx))
-                evict_way = np.where(at_cap, victim_io, victim_any)
-                e_lines = np.where(evict, trows[rows_m, evict_way], -1)
-                e_flags = np.where(evict, frows[rows_m, evict_way], 0)
-                ev_sel = np.flatnonzero(evict)
-                ev_slots = mflats[ev_sel] * ways + evict_way[ev_sel]
-                self.tags[ev_slots] = -1
-                self.flags[ev_slots] = 0
-                self.stamps[ev_slots] = 0
-                ev_io = (e_flags & LINE_IO) != 0
-                for flat, line, evl, eio, w, isf in zip(
-                    mflats.tolist(),
-                    ln[m_idx].tolist(),
-                    e_lines.tolist(),
-                    ev_io.tolist(),
-                    way_m.tolist(),
-                    is_fill.tolist(),
-                ):
-                    if evl != -1:
-                        del directory[evl]
-                        size_l[flat] -= 1
-                        if eio:
-                            n_io_l[flat] -= 1
-                    directory[line] = w
-                    size_l[flat] += 1
-                    if isf:
-                        n_io_l[flat] += 1
-                way[m_idx] = way_m
-                if len(ev_sel):
-                    ev_pos_parts.append(
-                        m_idx[ev_sel] if sel is None else sel[m_idx[ev_sel]]
-                    )
-                    ev_lines_parts.append(e_lines[ev_sel])
-                    ev_flags_parts.append(e_flags[ev_sel])
-            idx = f * ways + way
-            # A fill converts a resident CPU line to I/O (mark_io);
-            # within a round each set — hence each line — appears once,
-            # and later rounds re-read the flags, so no dedup is needed.
-            rf_idx = idx[hit & (k == 0)]
-            not_io = (self.flags[rf_idx] & LINE_IO) == 0
-            if not_io.any():
-                for slot in rf_idx[not_io].tolist():
-                    n_io_l[slot // ways] += 1
-            # Fills OR in IO|DIRTY, writes OR in DIRTY; reads leave flags
-            # untouched.  Freshly inserted slots were cleared, so the OR
-            # lands exactly the scalar insert's flags there too.
-            nonread = k != 1
-            nr_idx = idx[nonread]
-            bits = np.where(
-                k[nonread] == 0, LINE_IO | LINE_DIRTY, LINE_DIRTY
-            ).astype(np.uint8)
-            self.flags[nr_idx] = self.flags[nr_idx] | bits
-            self.tags[idx] = ln
-            offs = stamp_offs if sel is None else stamp_offs[sel]
-            self.stamps[idx] = offs + base_stamp
-        fill = kinds == 0
-        n_fill = int(fill.sum())
-        fill_hits = int((hit_all & fill).sum())
-        cpu_hits = int(hit_all.sum()) - fill_hits
-        dirty = io_by_fill = io_by_cpu = 0
-        cpu_by_fill: list[int] = []
-        if ev_pos_parts:
-            ev_pos = np.concatenate(ev_pos_parts)
-            ev_lines = np.concatenate(ev_lines_parts)
-            ev_flags = np.concatenate(ev_flags_parts)
-            dirty = int(((ev_flags & LINE_DIRTY) != 0).sum())
-            victim_io = (ev_flags & LINE_IO) != 0
-            by_fill = fill[ev_pos]
-            io_by_fill = int((by_fill & victim_io).sum())
-            io_by_cpu = int(victim_io.sum()) - io_by_fill
-            displaced = by_fill & ~victim_io
-            # Rounds evict out of stream order; report the lines in it.
-            cpu_by_fill = ev_lines[displaced][np.argsort(ev_pos[displaced])].tolist()
-        return RxBurstCounts(
-            fill_hits, n_fill - fill_hits, cpu_hits, n - n_fill - cpu_hits, dirty,
-            io_by_fill, io_by_cpu, cpu_by_fill,
         )
 
     def touch_many(

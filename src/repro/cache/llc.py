@@ -522,12 +522,11 @@ class SlicedLLC:
         deliver_burst`) hands over the flattened footprint-op stream of
         many back-to-back frames as plain lists of Python ints: the line
         address, kind and stamp offset of every op — see
-        :meth:`CacheEngine.rx_burst_apply` for the encoding and its two
-        paths, an in-order pass for short bursts and rounds by within-set
-        rank for long ones.  ``folded_hits`` counts the driver re-touches
-        of same-frame lines that were folded into ``stamp_offs``
-        (guaranteed hits, attributed here).  ``total_ops`` is the burst's
-        LLC access count, the same as the per-frame path's.
+        :meth:`CacheEngine.rx_burst_apply` for the encoding and the one
+        pass that applies it in stream order.  ``folded_hits`` counts the
+        driver re-touches of same-frame lines that were folded into
+        ``stamp_offs`` (guaranteed hits, attributed here).  ``total_ops``
+        is the burst's LLC access count, the same as the per-frame path's.
 
         Raises, with no state touched, when :meth:`supports_rx_burst`
         does not hold or the burst would reach a re-key

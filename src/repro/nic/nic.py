@@ -17,9 +17,9 @@ one receive description — its control flow and its touch sequence — is run
 per frame, and the whole burst's cache-op stream, as plain lists of line
 addresses, kinds and stamp offsets, goes to one
 :meth:`repro.cache.llc.SlicedLLC.rx_burst` call.  The LLC decomposes the
-lines under its current mapping and applies them in one engine call: an
-in-order scalar pass for a short burst, rounds by within-set rank for a
-long one (:meth:`repro.cache.engine.CacheEngine.rx_burst_apply`).  The
+lines under its current mapping and applies them in one engine call, one
+scalar pass in stream order
+(:meth:`repro.cache.engine.CacheEngine.rx_burst_apply`).  The
 pre-batching path is frozen in :mod:`reference.nic` and pinned
 bit-identical by ``tests/test_rx_equivalence.py``.
 """
@@ -156,9 +156,9 @@ class Nic:
         cache state.  Phase 2 applies the concatenated cache-op stream of
         all frames, each frame's folded from the driver's touch sequence
         (:meth:`~repro.nic.driver.IgbDriver._burst_template`), in one
-        :meth:`~repro.cache.llc.SlicedLLC.rx_burst` call (an in-order pass
-        below the engine's length switch, rounds by within-set rank from
-        it up, see :meth:`~repro.cache.engine.CacheEngine.rx_burst_apply`).
+        :meth:`~repro.cache.llc.SlicedLLC.rx_burst` call (one pass in
+        stream order, see
+        :meth:`~repro.cache.engine.CacheEngine.rx_burst_apply`).
 
         A burst runs under one index mapping.  Frames are collected while
         their accesses fit in

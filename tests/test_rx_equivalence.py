@@ -23,29 +23,31 @@ back-invalidation hook installed pin the per-frame path under the policies
 the burst kernel declines; the latter also compares the line sequence the
 hook is passed.
 
-A burst is applied by one of two engine paths, chosen by its length: an
-in-order scalar pass for short bursts, the round-by-rank kernel for long
-ones.  ``test_burst_paths_agree`` runs every burst of a few MATRIX
-workloads through both from one engine snapshot, and cuts long bursts one
-op either side of the switch.
+The bursting rows run again at DDIO way caps 1, 2 and ``ways``, on cold
+and on warm caches (``BURST_ROWS``), and must reach every branch of the
+engine's burst pass that rx traffic can reach.
+``test_burst_paths_agree_on_random_streams`` pins the pass on random op
+streams against a loop of ``io_write`` and ``cpu_access``, where CPU ops
+also evict I/O lines.
 """
 
 from __future__ import annotations
 
 import collections
+import copy
 import dataclasses
 import random
-import sys
 
 import pytest
 
 import numpy as np
 
-from repro.cache import engine as engine_module
 from repro.cache.cacheset import LINE_IO
 from repro.cache.engine import CacheEngine
 from repro.cache.hierarchy import CacheHierarchy
-from repro.core.config import DDIOConfig, MachineConfig, RingConfig
+from repro.cache.llc import SlicedLLC
+from repro.cache.slicehash import ModuloSliceHash
+from repro.core.config import CacheGeometry, DDIOConfig, MachineConfig, RingConfig
 from repro.core.machine import Machine
 from repro.defense.partitioning import AdaptivePartition, PartitionConfig
 from repro.defense.randomization import FullRandomizer, PartialRandomizer
@@ -86,6 +88,7 @@ def build_machine(
     backend: str = "modulo",
     l1: bool = False,
     ddio_ways: int | None = None,
+    warm: bool = False,
 ) -> Machine:
     cfg = MachineConfig().scaled_down()
     cfg.cache_backend = backend
@@ -111,6 +114,13 @@ def build_machine(
         m.evicted_lines = []
         m.llc.evict_hook = m.evicted_lines.append
         CacheHierarchy(m.llc)
+    if warm:
+        # Fill every set with dirty CPU lines, twice over.
+        geom = m.llc.geometry
+        size = 2 * geom.total_sets * geom.ways * geom.line_size
+        hog = m.new_process("hog")
+        base = hog.mmap(size // 4096)
+        hog.access_many(range(base, base + size, geom.line_size), write=True)
     return m
 
 
@@ -190,32 +200,105 @@ MATRIX = [
 
 assert sum(case[-2] for case in MATRIX) >= 10_000
 
+WAYS = MachineConfig().scaled_down().cache.ways
 
-@pytest.mark.parametrize(
-    "ddio,faults,partition,randomize,copy_threshold,l1,n_frames,backend",
-    MATRIX,
-    ids=[
-        f"ddio={d}-faults={f}-part={p}-rand={r}"
-        + (f"-copy={c}" if c != COPY else "")
-        + (f"-{b}" if b != "modulo" else "")
-        + ("-l1" if h else "")
-        for d, f, p, r, c, h, _, b in MATRIX
-    ],
-)
-def test_rx_datapath_equivalence(
-    ddio, faults, partition, randomize, copy_threshold, l1, n_frames, backend
-):
-    seed = (
+# (MATRIX row, DDIO way cap, warm, branches its bursts must reach): the
+# bursting rows again at seed 41, the modulo row also at caps 1 and
+# ``ways``; None keeps the row's cap of 2.  ``warm`` first fills every set
+# with dirty CPU lines.
+_IO_BY_FILL = "I/O victims of fills"
+_CPU_BY_FILL = "CPU victims of fills"
+_FREE_WAY = "cap evictions beside a free way"
+BURST_SEED = 41
+BURST_ROWS = [
+    (MATRIX[0], None, False, (_IO_BY_FILL, _FREE_WAY)),
+    (MATRIX[0], None, True, (_IO_BY_FILL, _CPU_BY_FILL)),
+    (MATRIX[0], 1, True, (_IO_BY_FILL, _CPU_BY_FILL)),
+    (MATRIX[0], WAYS, True, (_CPU_BY_FILL,)),
+    (MATRIX[10], None, True, (_IO_BY_FILL, _CPU_BY_FILL)),
+    (MATRIX[11], None, True, (_IO_BY_FILL, _CPU_BY_FILL, _FREE_WAY)),
+]
+
+
+def _matrix_seed(ddio, faults, partition, randomize, copy_threshold, *_rest) -> int:
+    return (
         1000 * ddio
         + 100 * (faults == "heavy")
         + 10 * partition
         + (2 if randomize == "full" else int(randomize))
         + 5 * (copy_threshold == 0)
     )
+
+
+# Every row as (*MATRIX row, seed, DDIO way cap, warm, branches to reach).
+DATAPATH_ROWS = [(*row, _matrix_seed(*row), None, False, ()) for row in MATRIX] + [
+    (*row, BURST_SEED, ways, warm, reach) for row, ways, warm, reach in BURST_ROWS
+]
+DATAPATH_IDS = [
+    f"ddio={d}-faults={f}-part={p}-rand={r}"
+    + (f"-copy={c}" if c != COPY else "")
+    + (f"-{b}" if b != "modulo" else "")
+    + ("-l1" if h else "")
+    for d, f, p, r, c, h, _, b in MATRIX
+] + [
+    f"{row[-1]}-copy={row[4]}-cap={ways or 2}" + ("-warm" if warm else "")
+    for row, ways, warm, _reach in BURST_ROWS
+]
+
+
+def _count_burst_branches(monkeypatch) -> collections.Counter:
+    """From here on, count over every burst the engine applies the
+    branches of its pass that the burst rows must reach: skb writes,
+    dirty victims and the victims of fills from the burst's counts, and,
+    from the state before it, fills that open their set's ops by hitting
+    a CPU line or by missing in a set at the DDIO cap with a free way."""
+    seen: collections.Counter = collections.Counter()
+    apply = CacheEngine.rx_burst_apply
+
+    def counted(engine, flats, lines, kinds, stamp_offs, total_ops, io_cap):
+        opened = set()
+        for flat, line, kind in zip(flats, lines, kinds):
+            if flat in opened:
+                continue
+            opened.add(flat)
+            if kind == 0:
+                flags = engine.flags_of(flat, line)
+                seen["fills hitting a CPU line"] += (
+                    flags is not None and not flags & LINE_IO
+                )
+                seen[_FREE_WAY] += (
+                    flags is None
+                    and engine.io_count(flat) >= io_cap
+                    and engine.size(flat) < engine.ways
+                )
+        counts = apply(engine, flats, lines, kinds, stamp_offs, total_ops, io_cap)
+        seen["skb writes"] += kinds.count(2)
+        seen["dirty victims"] += counts.dirty_victims
+        seen[_IO_BY_FILL] += counts.io_by_fill
+        seen[_CPU_BY_FILL] += len(counts.cpu_by_fill)
+        return counts
+
+    monkeypatch.setattr(CacheEngine, "rx_burst_apply", counted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "ddio,faults,partition,randomize,copy_threshold,l1,n_frames,backend,"
+    "seed,ddio_ways,warm,reach",
+    DATAPATH_ROWS,
+    ids=DATAPATH_IDS,
+)
+def test_rx_datapath_equivalence(
+    ddio, faults, partition, randomize, copy_threshold, l1, n_frames, backend,
+    seed, ddio_ways, warm, reach, monkeypatch,
+):
     config = (ddio, faults, partition, randomize, copy_threshold, backend)
-    legacy = build_machine(True, *config, l1=l1)
-    batched = build_machine(False, *config, l1=l1)
+    setup = dict(l1=l1, ddio_ways=ddio_ways, warm=warm)
+    legacy = build_machine(True, *config, **setup)
+    batched = build_machine(False, *config, **setup)
     trace_a = run_workload(legacy, seed, n_frames)
+    if reach:
+        seen = _count_burst_branches(monkeypatch)
     trace_b = run_workload(batched, seed, n_frames)
     assert trace_a == trace_b, "probe latency traces diverged"
     a, b = full_state(legacy), full_state(batched)
@@ -228,6 +311,9 @@ def test_rx_datapath_equivalence(
         assert batched.llc.mapping_epoch >= 2  # re-keys landed in the run
     if l1:
         assert batched.evicted_lines  # the hook saw the run's evictions
+    if reach:
+        for what in ("skb writes", "dirty victims", "fills hitting a CPU line", *reach):
+            assert seen[what], what
 
 
 def test_bursts_actually_used():
@@ -262,182 +348,58 @@ def test_bursts_actually_used():
         assert len(burst_ops) > 0 and sum(burst_ops) > 200, backend
 
 
-SWITCH = engine_module.ROUND_KERNEL_MIN_OPS
-WAYS = MachineConfig().scaled_down().cache.ways
-_APPLY = CacheEngine.rx_burst_apply
+def _assert_same_llc(a: SlicedLLC, b: SlicedLLC) -> None:
+    """Same tags, flags, stamps, directory, counters, stats and traffic."""
+    ea, eb = a.engine, b.engine
+    assert np.array_equal(ea.tags, eb.tags)
+    assert np.array_equal(ea.flags, eb.flags)
+    assert np.array_equal(ea.stamps, eb.stamps)
+    assert ea._dir == eb._dir
+    assert (ea._size, ea._n_io, ea._tick) == (eb._size, eb._n_io, eb._tick)
+    assert a.stats.snapshot() == b.stats.snapshot()
+    assert (a.traffic.reads, a.traffic.writes) == (b.traffic.reads, b.traffic.writes)
 
 
-def _clone(engine: CacheEngine) -> CacheEngine:
-    """An independent copy of ``engine``'s state."""
-    copy = CacheEngine(engine.n_sets, engine.ways)
-    copy.tags[:] = engine.tags
-    copy.flags[:] = engine.flags
-    copy.stamps[:] = engine.stamps
-    copy._size = list(engine._size)
-    copy._n_io = list(engine._n_io)
-    copy._dir = dict(engine._dir)
-    copy._tick = engine._tick
-    return copy
-
-
-def _same_engine(a: CacheEngine, b: CacheEngine) -> bool:
-    return (
-        np.array_equal(a.tags, b.tags)
-        and np.array_equal(a.flags, b.flags)
-        and np.array_equal(a.stamps, b.stamps)
-        and (a._size, a._n_io, a._dir, a._tick) == (b._size, b._n_io, b._dir, b._tick)
-    )
-
-
-def _apply_forced(engine: CacheEngine, burst: tuple, rounds: bool):
-    """``rx_burst_apply`` with the switch forced to one side."""
-    saved = engine_module.ROUND_KERNEL_MIN_OPS
-    engine_module.ROUND_KERNEL_MIN_OPS = 0 if rounds else sys.maxsize
-    try:
-        return _APPLY(engine, *burst)
-    finally:
-        engine_module.ROUND_KERNEL_MIN_OPS = saved
-
-
-def _prefix(burst: tuple, k: int) -> tuple:
-    """The first ``k`` ops of a burst, as a burst of their own."""
-    flats, lines, kinds, offs, _total, cap = burst
-    return flats[:k], lines[:k], kinds[:k], offs[:k], max(offs[:k]) + 1, cap
-
-
-# (MATRIX row, DDIO way cap, warm, victims the run must show): bursting
-# rows, the modulo row also at caps 1 and ``ways``; None keeps the row's
-# cap of 2.  ``warm`` first fills every set with dirty CPU lines.
-_IO_BY_FILL = "I/O victims of fills"
-_CPU_BY_FILL = "CPU victims of fills"
-_FREE_WAY = "cap evictions beside a free way"
-BURST_PATH_CASES = [
-    (MATRIX[0], None, False, (_IO_BY_FILL, _FREE_WAY)),
-    (MATRIX[0], None, True, (_IO_BY_FILL, _CPU_BY_FILL)),
-    (MATRIX[0], 1, True, (_IO_BY_FILL, _CPU_BY_FILL)),
-    (MATRIX[0], WAYS, True, (_CPU_BY_FILL,)),
-    (MATRIX[10], None, True, (_IO_BY_FILL, _CPU_BY_FILL)),
-    (MATRIX[11], None, True, (_IO_BY_FILL, _CPU_BY_FILL, _FREE_WAY)),
-]
-
-
-@pytest.mark.parametrize(
-    "row,ddio_ways,warm,victims",
-    BURST_PATH_CASES,
-    ids=[
-        f"{row[-1]}-copy={row[4]}-cap={ways or 2}" + ("-warm" if warm else "")
-        for row, ways, warm, _victims in BURST_PATH_CASES
-    ],
+#: The ``CacheStats`` counters a burst books (all but ``invalidations``).
+BURST_BOOKED = (
+    "io_hits", "io_fills", "cpu_hits", "cpu_misses", "writebacks",
+    "io_evicted_io", "cpu_evicted_io", "io_evicted_cpu",
 )
-def test_burst_paths_agree(row, ddio_ways, warm, victims, monkeypatch):
-    """The in-order pass and the round kernel apply every burst of a MATRIX
-    workload alike: each burst runs through both, forced, from one engine
-    snapshot, and they must leave the same tags, flags, stamps, tick,
-    directory, per-set sizes and I/O counts and return the same counts.
-    Bursts that reach the switch are also cut one op either side of it,
-    where the unforced call must take the expected path and agree with
-    the other.  The run itself goes on through the unforced call, and it
-    must reach the round kernel: no experiment's burst does."""
-    ddio, faults, partition, randomize, copy_threshold, l1, n_frames, backend = row
-    m = build_machine(
-        False, ddio, faults, partition, randomize, copy_threshold, backend, l1,
-        ddio_ways=ddio_ways,
-    )
-    if warm:
-        geom = m.llc.geometry
-        size = 2 * geom.total_sets * geom.ways * geom.line_size
-        hog = m.new_process("hog")
-        base = hog.mmap(size // 4096)
-        hog.access_many(range(base, base + size, geom.line_size), write=True)
-    taken: collections.Counter = collections.Counter()
-    for name in ("_rx_in_order", "_rx_rounds"):
-        def counted(self, *args, name=name, method=getattr(CacheEngine, name)):
-            taken[name] += 1
-            return method(self, *args)
-
-        monkeypatch.setattr(CacheEngine, name, counted)
-    seen: collections.Counter = collections.Counter()
-    run_paths: collections.Counter = collections.Counter()
-
-    def checked(engine, *burst):
-        flats, lines, kinds = (np.asarray(a) for a in burst[:3])
-        in_order, rounds = _clone(engine), _clone(engine)
-        counts = _apply_forced(in_order, burst, rounds=False)
-        assert _apply_forced(rounds, burst, rounds=True) == counts
-        assert _same_engine(in_order, rounds)
-        seen["rounds"] = max(seen["rounds"], int(np.bincount(flats).max()))
-        seen["skb writes"] += int((kinds == 2).sum())
-        seen["dirty victims"] += counts.dirty_victims
-        seen[_IO_BY_FILL] += counts.io_by_fill
-        seen[_CPU_BY_FILL] += len(counts.cpu_by_fill)
-        _sets, firsts = np.unique(flats, return_index=True)
-        for i in firsts[kinds[firsts] == 0].tolist():
-            flat = int(flats[i])
-            flags = engine.flags_of(flat, int(lines[i]))
-            seen["fills hitting a CPU line"] += flags is not None and not flags & LINE_IO
-            seen[_FREE_WAY] += (
-                flags is None
-                and engine.io_count(flat) >= burst[-1]
-                and engine.size(flat) < engine.ways
-            )
-        if len(flats) >= SWITCH:
-            for k, path, other_is_rounds in (
-                (SWITCH - 1, "_rx_in_order", True),
-                (SWITCH, "_rx_rounds", False),
-            ):
-                cut = _prefix(burst, k)
-                dispatched, forced = _clone(engine), _clone(engine)
-                before = taken[path]
-                cut_counts = _APPLY(dispatched, *cut)
-                assert taken[path] == before + 1
-                assert _apply_forced(forced, cut, rounds=other_is_rounds) == cut_counts
-                assert _same_engine(dispatched, forced)
-                seen["switch edges"] += 1
-        before = taken["_rx_rounds"]
-        result = _APPLY(engine, *burst)
-        run_paths["rounds" if taken["_rx_rounds"] > before else "in order"] += 1
-        assert result == counts and _same_engine(engine, in_order)
-        return result
-
-    monkeypatch.setattr(CacheEngine, "rx_burst_apply", checked)
-    run_workload(m, seed=41, n_frames=n_frames)
-    assert run_paths["rounds"] and run_paths["in order"]
-    assert seen["switch edges"] and seen["rounds"] >= 3
-    for what in ("skb writes", "dirty victims", "fills hitting a CPU line", *victims):
-        assert seen[what], what
 
 
 def test_burst_paths_agree_on_random_streams():
-    """Random op streams on a 4-set, 4-way engine, where every branch of
-    both paths runs often — CPU ops evicting I/O lines among them, which
-    the rx workloads above never make.  Each burst runs through both
-    paths from one snapshot, at a DDIO cap from 1 to ``ways``; the run
-    goes on from their common result.  A flush of a random line between
-    bursts leaves free ways in front of occupied ones, where a cap
-    eviction's fill takes the free way."""
+    """``SlicedLLC.rx_burst`` against a loop on a deep copy of the LLC —
+    ``io_write`` for a fill, ``cpu_access`` for a read or a write — over
+    random op streams on a 4-set, 4-way LLC, where every branch of the
+    burst pass runs often: CPU ops evicting I/O lines among them, which
+    the rx workloads above never make.  Each burst runs at a DDIO cap
+    from 1 to ``ways``.  A flush of a random line between bursts leaves
+    free ways in front of occupied ones, where a cap eviction's fill
+    takes the free way."""
     rng = np.random.default_rng(23)
-    engine = CacheEngine(4, 4)
-    seen: collections.Counter = collections.Counter()
+    geometry = CacheGeometry(n_slices=1, sets_per_slice=4, ways=4)
+    burst = SlicedLLC(geometry=geometry, slice_hash=ModuloSliceHash(1))
+    loop = copy.deepcopy(burst)
+    shift = geometry.offset_bits
+    booked: collections.Counter = collections.Counter()
     for _ in range(400):
         n = int(rng.integers(1, 40))
-        flats = rng.integers(0, 4, n)
-        burst = (
-            flats.tolist(),
-            (flats + 4 * rng.integers(0, 6, n)).tolist(),
-            rng.integers(0, 3, n).tolist(),
-            list(range(n)),
-            n,
-            int(rng.integers(1, 5)),
-        )
-        other = _clone(engine)
-        counts = _apply_forced(engine, burst, rounds=False)
-        assert _apply_forced(other, burst, rounds=True) == counts
-        assert _same_engine(engine, other)
-        for field, value in counts._asdict().items():
-            seen[field] += value if isinstance(value, int) else len(value)
+        lines = (rng.integers(0, 4, n) + 4 * rng.integers(0, 6, n)).tolist()
+        kinds = rng.integers(0, 3, n).tolist()
+        burst.ddio = loop.ddio = DDIOConfig(write_allocate_ways=int(rng.integers(1, 5)))
+        before = burst.stats.snapshot()
+        burst.rx_burst(lines, kinds, list(range(n)), n, 0)
+        booked.update(burst.stats.delta(before).snapshot())
+        for line, kind in zip(lines, kinds):
+            if kind == 0:
+                loop.io_write(line << shift)
+            else:
+                loop.cpu_access(line << shift, write=kind == 2)
+        _assert_same_llc(burst, loop)
         line = int(rng.integers(0, 24))
-        engine.invalidate(line % 4, line)
-    assert all(seen[field] for field in counts._fields), seen
+        burst.flush(line << shift)
+        loop.flush(line << shift)
+    assert all(booked[name] for name in BURST_BOOKED), booked
 
 
 def test_keyed_buffer_lines_sit_in_distinct_sets():
