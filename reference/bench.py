@@ -118,9 +118,7 @@ def bench_legacy_sweep(machine: Machine, monitor: ProbeMonitor, rounds: int) -> 
         ddio=machine.config.ddio,
         timing=machine.config.timing,
     )
-    traversals = [
-        [int(p) for p in es.probe_order()[0]] for es in monitor.sets
-    ]
+    traversals = [es.probe_order().tolist() for es in monitor.sets]
     thresholds = [es.threshold for es in monitor.sets]
     for traversal in traversals:  # prime
         for paddr in traversal:
@@ -218,16 +216,22 @@ def _bench_rx_short(legacy: bool, n_frames: int) -> float:
     """Seconds to deliver ``n_frames`` of the ``scan`` workload's traffic:
     64-B broadcasts at 200 kpps, drained through ``Machine.idle`` windows
     of one 8 kHz probe interval, so each burst holds ~25 frames (~50
-    cache ops)."""
+    cache ops).  A tenth as many frames, untimed, warm the machine first,
+    as in :func:`_bench_rx_direct`."""
     from repro.net.traffic import ConstantStream
 
     machine = _rx_machine(legacy)
-    source = ConstantStream(size=64, rate_pps=200_000.0, count=n_frames)
     window = int(machine.clock.frequency_hz / 8000)
+
+    def stream(count: int) -> None:
+        source = ConstantStream(size=64, rate_pps=200_000.0, count=count)
+        source.attach(machine, machine.nic)
+        while source.sent < count:
+            machine.idle(window)
+
+    stream(n_frames // 10)
     t0 = time.perf_counter()
-    source.attach(machine, machine.nic)
-    while source.sent < n_frames:
-        machine.idle(window)
+    stream(n_frames)
     return time.perf_counter() - t0
 
 
@@ -269,8 +273,9 @@ def bench_rx(n_frames: int) -> dict:
 def _bench_backend_sweep(backend: str, rounds: int, n_lines: int = 4096) -> float:
     """Milliseconds per batched ``access_many`` sweep under ``backend``.
 
-    The sweep touches ``n_lines`` distinct lines, so for epochal backends
-    it also pays the memo-miss recompute after each re-key — the same
+    The sweep touches ``n_lines`` distinct lines.  Once they are resident
+    a sweep decomposes nothing; under an epochal backend it also pays
+    each re-key and the misses of the lines a re-key drops — the same
     cost profile the attack loops see.
     """
     import numpy as np
@@ -288,7 +293,7 @@ def _bench_backend_sweep(backend: str, rounds: int, n_lines: int = 4096) -> floa
     paddrs = (
         np.arange(n_lines, dtype=np.int64) << config.cache.offset_bits
     )
-    llc.access_many(paddrs)  # warm: fill + populate the flat memo
+    llc.access_many(paddrs)  # warm: the one sweep that misses and fills
     t0 = time.perf_counter()
     for _ in range(rounds):
         llc.access_many(paddrs)

@@ -76,16 +76,11 @@ class EvictionSet:
         self.set_index = set_index
         self.label = label
         self._telemetry = process.machine.telemetry
-        self._llc = process.machine.llc
         #: Physical addresses in the stored order, translated on first use
-        #: (translation is deterministic and the pages stay mapped).
+        #: (translation is deterministic and the pages stay mapped).  One
+        #: traversal is then one batched machine call over them or their
+        #: reverse, instead of one Python call per line.
         self._paddrs: np.ndarray | None = None
-        #: ``(paddrs, flats, lines)`` in the stored order and reversed,
-        #: under mapping epoch :attr:`_epoch`.  One probe traversal then
-        #: costs one batched machine call instead of one Python call per
-        #: line, and the index runs once per set and mapping epoch.
-        self._orders: tuple[tuple[np.ndarray, ...], ...] = ()
-        self._epoch = -1
         #: Zig-zag traversals so far.  Odd means the current order is the
         #: stored one reversed; sweep-level callers key their cached
         #: concatenated traversal arrays on this parity.
@@ -102,31 +97,25 @@ class EvictionSet:
         """Virtual addresses in current traversal order."""
         return list(self._addrs[::-1] if self.version & 1 else self._addrs)
 
-    def _oriented(self, parity: int) -> tuple[np.ndarray, ...]:
-        """``(paddrs, flats, lines)`` in stored order (0) or reversed (1),
-        decomposed under the current mapping epoch."""
-        llc = self._llc
-        if self._epoch != llc.mapping_epoch:
-            if self._paddrs is None:
-                translate = self.process.addrspace.translate
-                self._paddrs = np.fromiter(
-                    (translate(addr) for addr in self._addrs),
-                    np.int64,
-                    count=len(self._addrs),
-                )
-            stored = (self._paddrs, *llc.decompose_many(self._paddrs))
-            self._orders = (stored, tuple(a[::-1] for a in stored))
-            self._epoch = llc.mapping_epoch
-        return self._orders[parity]
+    def _oriented(self, parity: int) -> np.ndarray:
+        """Physical addresses in stored order (0) or reversed (1)."""
+        if self._paddrs is None:
+            translate = self.process.addrspace.translate
+            self._paddrs = np.fromiter(
+                (translate(addr) for addr in self._addrs),
+                np.int64,
+                count=len(self._addrs),
+            )
+        return self._paddrs[::-1] if parity else self._paddrs
 
-    def probe_order(self) -> tuple[np.ndarray, ...]:
-        """``(paddrs, flats, lines)`` in the order the next probe uses:
-        the reverse of the last traversal."""
+    def probe_order(self) -> np.ndarray:
+        """Physical addresses in the order the next probe uses: the
+        reverse of the last traversal."""
         return self._oriented(~self.version & 1)
 
-    def prime_order(self) -> tuple[np.ndarray, ...]:
-        """``(paddrs, flats, lines)`` in the order a prime uses: the
-        current orientation, the one the last traversal went in."""
+    def prime_order(self) -> np.ndarray:
+        """Physical addresses in the order a prime uses: the current
+        orientation, the one the last traversal went in."""
         return self._oriented(self.version & 1)
 
     def flip(self, times: int = 1) -> None:
@@ -136,8 +125,7 @@ class EvictionSet:
     def prime(self) -> None:
         """Fill the cache set with our lines (untimed traversal).  A
         multi-set prime goes through :func:`prime_sets` instead."""
-        paddrs, flats, lines = self.prime_order()
-        self.process.machine.cpu_access_many(paddrs, decomp=(flats, lines))
+        self.process.machine.cpu_access_many(self.prime_order())
 
     def probe(self) -> int:
         """Timed zig-zag traversal; returns the number of misses seen.
@@ -148,10 +136,7 @@ class EvictionSet:
         set this way, and it is the per-set reference a multi-set
         :class:`~repro.attack.primeprobe.SetSweep` is pinned against.
         """
-        paddrs, flats, lines = self.probe_order()
-        lats = self.process.machine.cpu_access_many(
-            paddrs, timed=True, decomp=(flats, lines)
-        )
+        lats = self.process.machine.cpu_access_many(self.probe_order(), timed=True)
         self.flip()
         misses = int((lats > self.threshold.threshold).sum())
         tele = self._telemetry
@@ -177,9 +162,7 @@ def prime_sets(process, sets) -> None:
     sets: es.prime()``.  A set listed twice is traversed twice.  Like
     :meth:`EvictionSet.prime`, it flips no set and records no telemetry.
     """
-    parts = [es.prime_order() for es in sets]
-    paddrs, flats, lines = (np.concatenate(column) for column in zip(*parts))
-    process.machine.cpu_access_many(paddrs, decomp=(flats, lines))
+    process.machine.cpu_access_many(np.concatenate([es.prime_order() for es in sets]))
 
 
 @dataclass

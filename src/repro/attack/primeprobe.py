@@ -140,24 +140,18 @@ class SetSweep:
         )
         #: Accesses per probe: every set's lines, once each.
         self.n_accesses = int(lens.sum())
-        #: Concatenated ``(paddrs, flats, lines)`` per mapping epoch and
-        #: orientation signature (each set's flip parity).  A sweep flips
-        #: every set together, so steady-state probing ping-pongs between
-        #: two cached signatures and re-concatenates only after a re-key.
-        self._orders: dict[
-            tuple[int, bytes], tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
+        #: Concatenated next-probe physical addresses per orientation
+        #: signature (each set's flip parity).  A sweep flips every set
+        #: together, so steady-state probing ping-pongs between two
+        #: cached signatures.
+        self._orders: dict[bytes, np.ndarray] = {}
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated next-probe ``(paddrs, flats, lines)``, cached."""
-        key = (
-            self.process.machine.llc.mapping_epoch,
-            bytes(es.version & 1 for es in self.sets),
-        )
+    def _arrays(self) -> np.ndarray:
+        """Concatenated next-probe physical addresses, cached."""
+        key = bytes(es.version & 1 for es in self.sets)
         cached = self._orders.get(key)
         if cached is None:
-            parts = [es.probe_order() for es in self.sets]
-            cached = tuple(np.concatenate(column) for column in zip(*parts))
+            cached = np.concatenate([es.probe_order() for es in self.sets])
             if len(self._orders) >= 4:
                 self._orders.clear()
             self._orders[key] = cached
@@ -168,8 +162,8 @@ class SetSweep:
         latency and the miss mask, all in sweep order.  Records the
         ``probe.*`` metrics but leaves the quality margin to the caller."""
         machine = self.process.machine
-        combined, flats, lines = self._arrays()
-        lats = machine.cpu_access_many(combined, timed=True, decomp=(flats, lines))
+        combined = self._arrays()
+        lats = machine.cpu_access_many(combined, timed=True)
         miss_mask = lats > self.thresholds
         counts = np.add.reduceat(miss_mask.astype(np.int64), self.offsets)
         for es in self.sets:
@@ -216,8 +210,7 @@ class SetSweep:
         # Only the k-th probe's stamps survive: orient the sets for it.
         for es in self.sets:
             es.flip(k - 1)
-        combined, flats, lines = self._arrays()
-        machine.llc.repeat_hits(combined, k, decomp=(flats, lines))
+        machine.llc.repeat_hits(self._arrays(), k)
         for es in self.sets:
             es.flip()
         machine.clock.advance(k * self.quiet_cycles())

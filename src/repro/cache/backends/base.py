@@ -1,10 +1,11 @@
 """The ``IndexMapping`` seam: pluggable paddr -> flat-set policies.
 
-The PR-4 engine refactor reduced every access path of the LLC to two
-decomposition primitives — the scalar, memoized
-:meth:`repro.cache.llc.SlicedLLC.flat_set_of` and the vectorised
-:meth:`~repro.cache.llc.SlicedLLC.decompose_many` — plus packed-array
-kernels that only ever see *flat set ids*.  That makes the set-index
+The LLC maps a line address to a set only to place the line (its
+engine's directory finds a resident one), through two decomposition
+primitives over one per-line memo — the scalar
+:meth:`repro.cache.llc.SlicedLLC.flat_set_of` and the list-wise
+:meth:`~repro.cache.llc.SlicedLLC.decompose_many` — and its packed-array
+kernels only ever see *flat set ids* and slots.  That makes the set-index
 function itself a policy seam: a randomized-index cache (CEASER-style
 keyed remapping, ScatterCache-style skews) differs from a conventional
 one exactly and only in how a line address becomes a flat set id (and,

@@ -21,16 +21,19 @@ which finds the minimum stamp of one row with a Python loop over the
 row's stamps (and flags, for one origin), or one ``argmin`` when every
 way holds a line.
 
-A single Python dict (``line -> way``) is kept as a directory for O(1)
-scalar lookups, and small Python lists track per-set occupancy and
-I/O-line counts.  The line alone keys the directory because a resident
-line sits in exactly one set: the caller's index mapping is a function
-of the line, and a re-key (:meth:`CacheEngine.reload`) places every line
-afresh.  The numpy arrays are the ground truth that the *batched*
-kernels operate on: :meth:`lookup_many`/:meth:`touch_many` resolve and
-touch thousands of accesses with a handful of vectorised operations,
-which is what lets a PRIME+PROBE sweep issue one engine call instead of
-one Python call per line.
+A single Python dict (``line -> slot``, the line's index ``flat * ways +
+way`` into the arrays) is the directory, and small Python lists track
+per-set occupancy and I/O-line counts.  The line alone keys the
+directory because a resident line sits in exactly one set: the caller's
+index mapping is a function of the line, and a re-key
+(:meth:`CacheEngine.reload`) places every line afresh.  So the engine
+alone finds a resident line: a hit, a flush, a DMA write to a cached
+line and a dirty writeback take the line only, and a set id is needed
+only to place a line (a fill or an eviction).  The batched kernels read
+the same directory: :meth:`lookup_many` turns a batch's lines into slots
+and :meth:`touch_many` stamps them with one vectorised assignment, which
+is what lets a PRIME+PROBE sweep issue one engine call instead of one
+Python call per line.
 
 Semantics are differentially tested against the legacy model
 (``tests/test_engine_equivalence.py``): identical eviction decisions,
@@ -40,6 +43,7 @@ traces.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -70,9 +74,10 @@ class RxBurstCounts(NamedTuple):
 class CacheEngine:
     """Flat-array storage and LRU policy for ``n_sets`` x ``ways`` lines.
 
-    Most methods take a *flat set id* (slice-major, as produced by
-    :meth:`repro.cache.llc.SlicedLLC.flat_set_of`) plus a line address,
-    and a line must not be inserted while it is resident in another set.
+    The methods that place or evict a line take a *flat set id*
+    (slice-major, as :meth:`repro.cache.llc.SlicedLLC.flat_set_of`
+    produces it); those that act on a resident line take the line alone.
+    A line must not be inserted while it is resident.
     The engine is policy-free with respect to *which* victim origin to
     choose — callers (the DDIO path, the partition defense) pick victims
     via :meth:`evict_lru` / :meth:`evict_lru_of`.
@@ -84,7 +89,6 @@ class CacheEngine:
         "tags",
         "flags",
         "stamps",
-        "tags2",
         "_size",
         "_n_io",
         "_dir",
@@ -102,11 +106,9 @@ class CacheEngine:
         self.tags = np.full(total, -1, dtype=np.int64)
         self.flags = np.zeros(total, dtype=np.uint8)
         self.stamps = np.zeros(total, dtype=np.int64)
-        # A 2-D view over the same memory, for lookup_many's row gathers.
-        self.tags2 = self.tags.reshape(n_sets, ways)
         self._size = [0] * n_sets
         self._n_io = [0] * n_sets
-        #: Directory: resident line -> its way in its set.
+        #: Directory: resident line -> its slot, ``flat * ways + way``.
         self._dir: dict[int, int] = {}
         self._tick = 0
 
@@ -116,12 +118,10 @@ class CacheEngine:
     def contains(self, line: int) -> bool:
         return line in self._dir
 
-    def flags_of(self, flat: int, line: int) -> int | None:
+    def flags_of(self, line: int) -> int | None:
         """Flags of a resident line, or None if absent (no LRU update)."""
-        way = self._dir.get(line)
-        if way is None:
-            return None
-        return self.flags.item(flat * self.ways + way)
+        slot = self._dir.get(line)
+        return None if slot is None else self.flags.item(slot)
 
     def size(self, flat: int) -> int:
         """Number of resident lines in a set."""
@@ -138,16 +138,15 @@ class CacheEngine:
     # ------------------------------------------------------------------
     # Scalar mutations
     # ------------------------------------------------------------------
-    def touch(self, flat: int, line: int, set_dirty: bool = False) -> bool:
+    def touch(self, line: int, set_dirty: bool = False) -> bool:
         """Access a line; True on hit (stamps it MRU, optionally dirties)."""
-        way = self._dir.get(line)
-        if way is None:
+        slot = self._dir.get(line)
+        if slot is None:
             return False
-        idx = flat * self.ways + way
         self._tick += 1
-        self.stamps[idx] = self._tick
+        self.stamps[slot] = self._tick
         if set_dirty:
-            self.flags[idx] |= LINE_DIRTY
+            self.flags[slot] |= LINE_DIRTY
         return True
 
     def insert(self, flat: int, line: int, flags: int) -> tuple[int, int] | None:
@@ -163,7 +162,7 @@ class CacheEngine:
         evicted = None
         if self._size[flat] >= ways:
             way = self._lru_way(flat, 0, ways)
-            evicted = self._drop(flat, base + way)
+            evicted = self._drop(base + way)
         else:
             try:
                 way = self.tags[base : base + ways].tolist().index(-1)
@@ -178,7 +177,7 @@ class CacheEngine:
         """Evict and return the least recently used line of a set."""
         if not self._size[flat]:
             raise LookupError("evict_lru on empty set")
-        return self._drop(flat, flat * self.ways + self._lru_way(flat, 0, self.ways))
+        return self._drop(flat * self.ways + self._lru_way(flat, 0, self.ways))
 
     def insert_in(
         self, flat: int, line: int, flags: int, lo: int, hi: int
@@ -194,14 +193,14 @@ class CacheEngine:
             way = lo + row.index(-1)
         else:
             way = self._lru_way(flat, lo, hi)
-            evicted = self._drop(flat, base + way)
+            evicted = self._drop(base + way)
         self._put(flat, way, line, flags)
         return evicted
 
     def evict_lru_of(self, flat: int, io: bool) -> tuple[int, int] | None:
         """Evict the LRU line whose origin matches ``io``; None if no match."""
         way = self._lru_way(flat, 0, self.ways, io)
-        return None if way < 0 else self._drop(flat, flat * self.ways + way)
+        return None if way < 0 else self._drop(flat * self.ways + way)
 
     def _lru_way(self, flat: int, lo: int, hi: int, io: bool | None = None) -> int:
         """The way in ``[lo, hi)`` of set ``flat`` holding its least
@@ -224,47 +223,46 @@ class CacheEngine:
                     victim, oldest = way, stamps[way]
         return victim if victim < 0 else lo + victim
 
-    def invalidate(self, flat: int, line: int) -> int | None:
+    def invalidate(self, line: int) -> int | None:
         """Drop a line without eviction bookkeeping; return its flags."""
-        way = self._dir.get(line)
-        if way is None:
+        slot = self._dir.get(line)
+        if slot is None:
             return None
-        _line, flags = self._drop(flat, flat * self.ways + way)
-        return flags
+        return self._drop(slot)[1]
 
-    def mark_io(self, flat: int, line: int) -> None:
+    def mark_io(self, line: int) -> None:
         """Convert a resident line to a dirty I/O line and stamp it MRU."""
-        way = self._dir.get(line)
-        if way is None:
+        slot = self._dir.get(line)
+        if slot is None:
             raise LookupError(f"line {line:#x} not resident")
-        idx = flat * self.ways + way
-        flags = self.flags.item(idx)
+        flags = self.flags.item(slot)
         if not (flags & LINE_IO):
-            self._n_io[flat] += 1
-        self.flags[idx] = flags | LINE_IO | LINE_DIRTY
+            self._n_io[slot // self.ways] += 1
+        self.flags[slot] = flags | LINE_IO | LINE_DIRTY
         self._tick += 1
-        self.stamps[idx] = self._tick
+        self.stamps[slot] = self._tick
 
     def _put(self, flat: int, way: int, line: int, flags: int) -> None:
         """Place a new line, stamped MRU, in a free way of a set."""
-        idx = flat * self.ways + way
-        self.tags[idx] = line
-        self.flags[idx] = flags
+        slot = flat * self.ways + way
+        self.tags[slot] = line
+        self.flags[slot] = flags
         self._tick += 1
-        self.stamps[idx] = self._tick
-        self._dir[line] = way
+        self.stamps[slot] = self._tick
+        self._dir[line] = slot
         self._size[flat] += 1
         if flags & LINE_IO:
             self._n_io[flat] += 1
 
-    def _drop(self, flat: int, idx: int) -> tuple[int, int]:
-        """Remove the line at flat index ``idx``; return (line, flags)."""
-        line = self.tags.item(idx)
-        flags = self.flags.item(idx)
-        self.tags[idx] = -1
-        self.flags[idx] = 0
-        self.stamps[idx] = 0
+    def _drop(self, slot: int) -> tuple[int, int]:
+        """Remove the line at ``slot``; return (line, flags)."""
+        line = self.tags.item(slot)
+        flags = self.flags.item(slot)
+        self.tags[slot] = -1
+        self.flags[slot] = 0
+        self.stamps[slot] = 0
         del self._dir[line]
+        flat = slot // self.ways
         self._size[flat] -= 1
         if flags & LINE_IO:
             self._n_io[flat] -= 1
@@ -311,7 +309,7 @@ class CacheEngine:
         self._size = np.minimum(counts, ways).tolist()
         io = (kflags & LINE_IO) != 0
         self._n_io = np.bincount(kflats[io], minlength=self.n_sets).tolist()
-        self._dir = dict(zip(klines.tolist(), kways.tolist()))
+        self._dir = dict(zip(klines.tolist(), slots.tolist()))
         # The line at set rank j drops the one at rank j - ways, which
         # sits ``ways`` places before it in the set-sorted order.
         drop = np.flatnonzero(~keep)
@@ -335,19 +333,15 @@ class CacheEngine:
     # ------------------------------------------------------------------
     # Batched kernels
     # ------------------------------------------------------------------
-    def lookup_many(
-        self, flats: np.ndarray, lines: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised residency check.
-
-        Returns ``(hit, way)`` arrays; ``way`` is only meaningful where
-        ``hit`` is True.  Reflects the state *before* any of the accesses —
-        callers must ensure no eviction can intervene (see
-        :meth:`repro.cache.llc.SlicedLLC.access_many`).
-        """
-        rows = self.tags2[flats]
-        eq = rows == lines[:, None]
-        return eq.any(axis=1), eq.argmax(axis=1)
+    def lookup_many(self, lines: np.ndarray) -> np.ndarray:
+        """The slot of every line of ``lines``, -1 where it is absent: one
+        directory read per line, no set id needed.  Reflects the state
+        *before* any of the accesses — callers must ensure no eviction can
+        intervene (see :meth:`repro.cache.llc.SlicedLLC.access_many`)."""
+        n = len(lines)
+        return np.fromiter(
+            map(self._dir.get, lines.tolist(), repeat(-1, n)), np.int64, count=n
+        )
 
     def rx_burst_apply(
         self,
@@ -403,9 +397,8 @@ class CacheEngine:
         dirty = io_by_fill = io_by_cpu = 0
         cpu_by_fill: list[int] = []
         for flat, line, kind, off in zip(flats, lines, kinds, stamp_offs):
-            way = directory.get(line)
-            if way is not None:
-                slot = flat * ways + way
+            slot = directory.get(line)
+            if slot is not None:
                 if kind == 0:
                     fill_hits += 1
                     old = flags.item(slot)
@@ -461,7 +454,7 @@ class CacheEngine:
             slot = base + way
             tags[slot] = line
             stamps[slot] = stamp0 + off
-            directory[line] = way
+            directory[line] = slot
             if kind == 0:
                 flags[slot] = io_dirty
                 n_io_l[flat] += 1
@@ -475,13 +468,13 @@ class CacheEngine:
 
     def touch_many(
         self,
-        flats: np.ndarray,
-        ways: np.ndarray,
+        slots: np.ndarray,
         set_dirty: bool = False,
         repeats: int = 1,
         positions: np.ndarray | None = None,
     ) -> None:
-        """Bulk MRU-stamp resident lines at ``(flats, ways)`` in order.
+        """Bulk MRU-stamp the resident lines at ``slots`` (as
+        :meth:`lookup_many` returns them) in order.
 
         Stamps are assigned in array order from the shared tick counter, so
         within any one set the relative recency matches a sequential touch
@@ -500,18 +493,17 @@ class CacheEngine:
         tick does not move.  The caller then runs the other accesses,
         passing over each run of positions stamped here with :meth:`skip`.
         """
-        n = len(flats)
+        n = len(slots)
         if not n:
             return
-        idx = flats * self.ways + ways
         if positions is not None:
-            self.stamps[idx] = positions + (self._tick + 1)
+            self.stamps[slots] = positions + (self._tick + 1)
         else:
             t0 = self._tick + 1 + n * (repeats - 1)
             self._tick += n * repeats
-            self.stamps[idx] = np.arange(t0, t0 + n, dtype=np.int64)
+            self.stamps[slots] = np.arange(t0, t0 + n, dtype=np.int64)
         if set_dirty:
-            self.flags[idx] |= LINE_DIRTY
+            self.flags[slots] |= LINE_DIRTY
 
     def skip(self, n: int) -> None:
         """Advance the tick over ``n`` batch positions that

@@ -126,9 +126,8 @@ class CacheHierarchy:
         mask = l1._set_mask
         step = l1.line_size
         l1_latency = self.timing.l1_hit_latency
-        llc = self.llc
-        cpu_access = llc.cpu_access
-        llc_shift = llc.geometry.offset_bits
+        cpu_access = self.llc.cpu_access
+        llc_touch = self.llc.engine.touch
         fill_flags = LINE_DIRTY if write else 0
         done = hits = 0
         while done < n_lines and now < until:
@@ -142,10 +141,7 @@ class CacheHierarchy:
                 evicted = l1_set.insert(line, fill_flags)
                 if evicted is not None and evicted[1] & LINE_DIRTY:
                     # Dirty L1 writeback lands in the (inclusive) LLC copy.
-                    victim = evicted[0]
-                    llc.engine.touch(
-                        llc.flat_set_of(victim << llc_shift), victim, set_dirty=True
-                    )
+                    llc_touch(evicted[0], True)
             paddr += step
             done += 1
         l1.stats.cpu_hits += hits

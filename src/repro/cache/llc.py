@@ -24,8 +24,10 @@ burst's lines, applies the burst in one engine call and books the counts
 it returns, and a per-line memo of the slice/set decomposition that
 every path and backend goes through, so the index function is evaluated
 once per line and mapping, not once per access.  The LLC is the one
-place that maps lines to sets: callers that cache a decomposition key it
-on :attr:`mapping_epoch`.
+place that maps lines to sets, and it does so only to place a line: the
+engine's directory finds a resident one, so a hit, a flush, a DMA write
+to a cached line and a dirty writeback decompose nothing, and callers
+hand the access paths plain addresses.
 
 An optional *partition* object (the Section VII defense) takes over victim
 selection; see :mod:`repro.defense.partitioning`.  The pre-engine model is
@@ -80,10 +82,9 @@ class SlicedLLC:
             self.mapping = make_mapping(
                 backend, self.geometry, self.slice_hash, seed=seed
             )
-        #: Epoch counter, bumped on every re-key.  Consumers holding
-        #: decomposition caches key on it (eviction sets and sweeps), so
-        #: the ``decomp`` hints they pass the access paths below are
-        #: current when a call starts.
+        #: Epoch counter, bumped on every re-key: the oracle builder's
+        #: live index table and ``MonitorFactory``'s eviction-set cache key
+        #: on it, and the experiments count re-keys with it.
         self.mapping_epoch = 0
         self._epochal = self.mapping.epoch_period > 0
         self._epoch_period = self.mapping.epoch_period
@@ -236,19 +237,19 @@ class SlicedLLC:
                 self._access_count = 0
             self._access_count += 1
         line = paddr >> self._offset_bits
+        if self.engine.touch(line, write):
+            self.stats.cpu_hits += 1
+            return True, self.timing.llc_hit_latency
         flat = self._flat_memo.get(line)
         if flat is None:
             flat = self.flat_set_of(paddr)
-        return self._cpu_access_at(flat, line, write, now)
+        return self._cpu_miss(flat, line, write, now)
 
-    def _cpu_access_at(
+    def _cpu_miss(
         self, flat: int, line: int, write: bool, now: int
     ) -> tuple[bool, int]:
-        """:meth:`cpu_access` of a decomposed line, past the re-key check:
-        what :meth:`access_many` replays with its batch's flats."""
-        if self.engine.touch(flat, line, set_dirty=write):
-            self.stats.cpu_hits += 1
-            return True, self.timing.llc_hit_latency
+        """A :meth:`cpu_access` that missed, filling set ``flat``: what
+        :meth:`access_many`'s replays share with it."""
         self.stats.cpu_misses += 1
         self.traffic.reads += 1
         self._fill_cpu(flat, line, write, now)
@@ -282,23 +283,23 @@ class SlicedLLC:
         paddrs: np.ndarray,
         write: bool = False,
         now: int = 0,
-        decomp: tuple[np.ndarray, np.ndarray] | None = None,
         until: int | None = None,
         extra: int = 0,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched :meth:`cpu_access`: returns ``(hits, latencies)`` arrays.
 
-        One engine lookup resolves the batch against the cache as it was
-        before it.  An access is a *sure hit* when its line was resident
-        and no earlier access of the batch misses in its set: a miss
-        changes only its own set (partition hooks included), so nothing
-        else can evict that line first.  Sure hits are stamped in one
+        One directory read (:meth:`CacheEngine.lookup_many`) resolves the
+        batch against the cache as it was before it.  An access is a *sure
+        hit* when its line was resident and no earlier access of the batch
+        misses in its set: a miss changes only its own set (partition
+        hooks included), so nothing else can evict that line first.  A
+        resident line's set is its slot's, so only the misses are
+        decomposed (:meth:`decompose_many`).  Sure hits are stamped in one
         vectorised step; every access from its set's first miss on
-        replays, in order, through the body of :meth:`cpu_access`
-        (:meth:`_cpu_access_at`) with the batch's decomposition.  Each
-        access is stamped ``tick + 1 + its position``, so tags, flags,
-        stamps and the tick end exactly as a loop of :meth:`cpu_access`
-        leaves them.
+        replays, in order, as :meth:`cpu_access` runs it, with the set
+        found here.  Each access is stamped ``tick + 1 + its position``,
+        so tags, flags, stamps and the tick end exactly as a loop of
+        :meth:`cpu_access` leaves them.
 
         The batch starts at cycle ``now``, and each access at the cycle
         the loop would issue it: ``now`` plus the latency and ``extra``
@@ -314,12 +315,6 @@ class SlicedLLC:
         call re-keys at its first access.  The returned arrays cover the
         prefix.  Without ``until`` the whole batch runs, as such
         prefixes when re-keys land inside it.
-
-        ``decomp`` lets callers that replay a fixed address sequence
-        (eviction-set sweeps) pass the cached ``(flats, lines)``
-        decomposition instead of re-hashing every call.  It must be
-        current when the call starts; it is dropped if the call re-keys
-        at its start.
         """
         paddrs = np.asarray(paddrs, dtype=np.int64)
         n = len(paddrs)
@@ -336,7 +331,6 @@ class SlicedLLC:
             if self._access_count >= self._epoch_period:
                 self._rekey(now)
                 self._access_count = 0
-                decomp = None
             m = self._epoch_period - self._access_count
             if until is None and n > m:
                 # A re-key lands inside a batch that must run whole: run it
@@ -344,11 +338,11 @@ class SlicedLLC:
                 parts = []
                 while len(paddrs):
                     hits, lats = self.access_many(
-                        paddrs, write, now, decomp, sys.maxsize, extra
+                        paddrs, write, now, sys.maxsize, extra
                     )
                     k = len(lats)
                     parts.append((hits, lats))
-                    paddrs, decomp = paddrs[k:], None
+                    paddrs = paddrs[k:]
                     now += int(lats.sum()) + k * extra
                 return tuple(np.concatenate(part) for part in zip(*parts))
             m = min(n, m)
@@ -357,21 +351,21 @@ class SlicedLLC:
         if bounded:
             # No access past this many can start before ``until``.
             m = min(m, -(-window // (hit_latency + extra)))
-        if decomp is None:
-            flats, lines = self.decompose_many(paddrs[:m])
-        else:
-            flats, lines = decomp[0][:m], decomp[1][:m]
+        lines = paddrs[:m] >> self._offset_bits
         engine = self.engine
-        hit, ways = engine.lookup_many(flats, lines)
+        slots = engine.lookup_many(lines)
+        hit = slots >= 0
         if hit.all():
             # Every access is a sure hit, and ``m`` already bounds them.
             if epochal:
                 self._access_count += m
-            engine.touch_many(flats, ways, set_dirty=write)
+            engine.touch_many(slots, set_dirty=write)
             self.stats.cpu_hits += m
             return np.ones(m, dtype=bool), np.full(m, hit_latency, dtype=np.int64)
         # Replay every access from its set's first miss on.
         misses = np.flatnonzero(~hit)
+        flats = slots // engine.ways
+        flats[misses] = self.decompose_many(paddrs[misses])[0]
         miss_sets, first = np.unique(flats[misses], return_index=True)
         j = np.minimum(np.searchsorted(miss_sets, flats), len(miss_sets) - 1)
         replay = (miss_sets[j] == flats) & (np.arange(m) >= misses[first][j])
@@ -388,8 +382,9 @@ class SlicedLLC:
             self._access_count += k
         if n_sure:
             sure = np.flatnonzero(~replay)
-            engine.touch_many(flats[sure], ways[sure], set_dirty=write, positions=sure)
+            engine.touch_many(slots[sure], set_dirty=write, positions=sure)
             self.stats.cpu_hits += n_sure
+        touch = engine.touch
         done = 0
         step = hit_latency + extra
         late = 0  # what earlier replays cost beyond a hit
@@ -398,19 +393,18 @@ class SlicedLLC:
         ):
             if i > done:
                 engine.skip(i - done)
-            hits[i], lat = self._cpu_access_at(flat, line, write, now + i * step + late)
-            lats[i] = lat
-            late += lat - hit_latency
+            if touch(line, write):
+                self.stats.cpu_hits += 1
+            else:
+                lat = self._cpu_miss(flat, line, write, now + i * step + late)[1]
+                hits[i] = False
+                lats[i] = lat
+                late += lat - hit_latency
             done = i + 1
         engine.skip(k - done)
         return hits, lats
 
-    def repeat_hits(
-        self,
-        paddrs: np.ndarray,
-        repeats: int,
-        decomp: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> None:
+    def repeat_hits(self, paddrs: np.ndarray, repeats: int) -> None:
         """Apply ``repeats`` back-to-back reads of lines that are all resident.
 
         Exactly what ``repeats`` consecutive :meth:`access_many` calls over
@@ -422,8 +416,7 @@ class SlicedLLC:
         ones may visit the same lines in any order (a zig-zag sweep
         alternates).  Raises if a line is not resident or a re-key would
         fall inside the repetitions, the two things that would make one
-        of them miss.  So the call never re-keys, and a ``decomp`` hint
-        current at its start holds throughout.
+        of them miss.
         """
         paddrs = np.asarray(paddrs, dtype=np.int64)
         n = len(paddrs) * repeats
@@ -432,11 +425,10 @@ class SlicedLLC:
                 f"{n} repeated accesses cross the re-key "
                 f"{self.accesses_until_rekey()} accesses ahead"
             )
-        flats, lines = decomp if decomp is not None else self.decompose_many(paddrs)
-        hit, ways = self.engine.lookup_many(flats, lines)
-        if not hit.all():
+        slots = self.engine.lookup_many(paddrs >> self._offset_bits)
+        if (slots < 0).any():
             raise ValueError("repeat_hits needs every line resident")
-        self.engine.touch_many(flats, ways, repeats=repeats)
+        self.engine.touch_many(slots, repeats=repeats)
         self.stats.cpu_hits += n
         if self._epochal:
             self._access_count += n
@@ -453,23 +445,23 @@ class SlicedLLC:
             self._access_count += 1
         engine = self.engine
         line = paddr >> self._offset_bits
-        flat = self.flat_set_of(paddr)
         if not self.ddio.enabled:
             # Direct to DRAM; snoop-invalidate any cached copy.
             self.traffic.writes += 1
-            if engine.invalidate(flat, line) is not None:
+            if engine.invalidate(line) is not None:
                 self.stats.invalidations += 1
                 if self.evict_hook is not None:
                     self.evict_hook(line)
                 if self.partition is not None:
-                    self.partition.after_fill(self, flat, now)
+                    self.partition.after_fill(self, self.flat_set_of(paddr), now)
             return
         if engine.contains(line):
-            engine.mark_io(flat, line)
+            engine.mark_io(line)
             self.stats.io_hits += 1
             if self.partition is not None:
-                self.partition.after_fill(self, flat, now)
+                self.partition.after_fill(self, self.flat_set_of(paddr), now)
             return
+        flat = self.flat_set_of(paddr)
         self.stats.io_fills += 1
         if self.telemetry is not None:
             self.telemetry.on_dma_fill()
@@ -576,7 +568,7 @@ class SlicedLLC:
     def flush(self, paddr: int) -> int:
         """CLFLUSH: invalidate (with writeback if dirty); returns latency."""
         line = paddr >> self._offset_bits
-        flags = self.engine.invalidate(self.flat_set_of(paddr), line)
+        flags = self.engine.invalidate(line)
         if flags is not None:
             self.stats.invalidations += 1
             if self.evict_hook is not None:

@@ -255,7 +255,6 @@ class Machine:
         paddrs: np.ndarray,
         write: bool = False,
         timed: bool = False,
-        decomp: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
         """Issue many CPU accesses with per-access event/clock semantics.
 
@@ -273,12 +272,9 @@ class Machine:
         partition rides the batch: its victim choice and presence clock
         touch only the missing access's set, each replay is handed its
         own start cycle, and its adaptation tick is an event, which
-        bounds the batch.
-
-        ``decomp`` optionally carries the caller's ``(flats, lines)``
-        decomposition of ``paddrs``, current when the call starts (see
-        :meth:`SlicedLLC.access_many`).  It is dropped for the rest of the
-        batch once the mapping epoch moves: an event's access can re-key.
+        bounds the batch.  An event's re-key needs no handling here: the
+        LLC decomposes only each call's misses, under the mapping current
+        then.
 
         Returns the int64 latency array the sequential loop would return.
         """
@@ -297,21 +293,13 @@ class Machine:
                 clock.advance(lat)
                 out[i] = lat
             return out
-        epoch = llc.mapping_epoch
         i = 0
         while i < n:
             events.run_due(clock.now)
             nxt = events.peek_time()
             until = sys.maxsize if nxt is None else max(nxt, clock.now + 1)
-            if decomp is not None and llc.mapping_epoch != epoch:
-                decomp = None
             _hits, lats = llc.access_many(
-                paddrs[i:],
-                write=write,
-                now=clock.now,
-                decomp=None if decomp is None else (decomp[0][i:], decomp[1][i:]),
-                until=until,
-                extra=overhead,
+                paddrs[i:], write=write, now=clock.now, until=until, extra=overhead
             )
             k = len(lats)
             if timed:

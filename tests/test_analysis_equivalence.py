@@ -222,7 +222,7 @@ class _StubMachine:
     def idle(self, cycles):
         self.clock.now += cycles
 
-    def cpu_access_many(self, paddrs, decomp=None):
+    def cpu_access_many(self, paddrs):
         pass
 
 
@@ -236,8 +236,7 @@ class _StubSet:
         pass
 
     def prime_order(self):
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
+        return np.zeros(0, dtype=np.int64)
 
 
 class _StubSweep:

@@ -16,7 +16,8 @@ Pins the contracts the LLC integration relies on:
   lands inside), and ``access_many`` leaves the loop's raw engine state,
   stamps and tick included, whole or cut at ``until``;
 * ``access_many`` and ``rx_burst`` make no mapping call for a line the
-  LLC's memo holds, on every backend;
+  LLC's memo holds, on every backend, and no path that acts on a
+  resident line decomposes it;
 * under a skewed backend a line only ever occupies its partition's ways;
 * spec parsing and the CLI surface (``backends list`` / ``--backend``).
 """
@@ -42,6 +43,7 @@ from repro.cache.backends import (
 )
 from repro.cache.backends.base import keyed_permute_many
 from repro.cache.cacheset import LINE_DIRTY
+from repro.cache.hierarchy import CacheHierarchy, L1Cache
 from repro.cache.llc import SlicedLLC
 from repro.cache.slicehash import IntelComplexHash
 from repro.core.config import CacheGeometry
@@ -252,6 +254,10 @@ def _rekey_loop(llc: SlicedLLC) -> None:
 
 def _rekey_state(llc: SlicedLLC, hooked: list[int]) -> dict:
     engine = llc.engine
+    # The directory maps every resident line, and only those, to its slot.
+    for line, slot in engine._dir.items():
+        assert engine.tags[slot] == line
+    assert len(engine._dir) == int((engine.tags != -1).sum())
     return {
         "tags": engine.tags.tolist(),
         "flags": engine.flags.tolist(),
@@ -493,6 +499,62 @@ class TestOneDecompositionRule:
         fresh = (np.arange(40, dtype=np.int64) + (1 << 17)) << GEOMETRY.offset_bits
         llc.access_many(fresh)
         assert calls == [("flats_of_many", 40)]
+
+    @pytest.mark.parametrize(
+        "spec", ["modulo", "keyed:epoch=100000", "skewed:partitions=2"]
+    )
+    def test_resident_lines_are_never_decomposed(self, spec, monkeypatch):
+        """The engine's directory finds a resident line, so no path that
+        acts on one asks for its set: CPU reads and writes, an all-hit
+        batch, repeated hits, a DMA write, a flush, and an L1 writeback
+        into the line's LLC copy."""
+        llc = _llc(spec)
+        hierarchy = CacheHierarchy(llc, l1=L1Cache(size_kb=4, ways=1))
+        engine = llc.engine
+        llc.access_many(_paddrs(np.random.default_rng(8), 200))
+        # Two lines of one L1 set, beyond the random range: ``dirty`` is
+        # read, then written in the L1 only, so its LLC copy stays clean.
+        dirty = (1 << 17) << GEOMETRY.offset_bits
+        other = dirty + hierarchy.l1.n_sets * GEOMETRY.line_size
+        hierarchy.access(dirty)
+        hierarchy.access(dirty, write=True)
+        llc.cpu_access(other)
+        resident = engine.tags[engine.tags != -1] << GEOMETRY.offset_bits
+        assert len(resident) > 100 and dirty in resident and other in resident
+        calls = []
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, call)
+
+        counted(llc, "flat_set_of")
+        counted(llc, "decompose_many")
+        counted(llc.mapping, "flat_of")
+        counted(llc.mapping, "flats_of_many")
+        for i, paddr in enumerate(resident[:40].tolist()):
+            assert llc.cpu_access(paddr, write=i % 2 == 1)[0]
+        hits, _lats = llc.access_many(resident[::-1])
+        assert hits.all()
+        llc.repeat_hits(resident, 3)
+        llc.io_write(int(resident[-1]))
+        assert llc.stats.io_hits == 1
+        # ``other`` takes the L1's one way from ``dirty``, whose writeback
+        # dirties its LLC copy and stamps it MRU.
+        slot = int(np.flatnonzero(engine.tags == dirty >> GEOMETRY.offset_bits)[0])
+        assert not engine.flags[slot] & LINE_DIRTY
+        assert hierarchy.access(other) == (
+            False, hierarchy.timing.l1_hit_latency + llc.timing.llc_hit_latency
+        )
+        assert engine.flags[slot] & LINE_DIRTY
+        assert engine.stamps[slot] == engine._tick
+        llc.flush(int(resident[-2]))
+        assert not llc.is_resident(int(resident[-2]))
+        assert calls == []
 
 
 class TestSkewedPartitions:

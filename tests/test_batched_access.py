@@ -121,7 +121,7 @@ class _Rig:
         self.rekeyed = 0
         if reference:
             machine.cpu_access_many = (
-                lambda paddrs, write=False, timed=False, decomp=None:
+                lambda paddrs, write=False, timed=False:
                 _reference_access_many(machine, paddrs, write, timed)
             )
         else:
@@ -330,7 +330,7 @@ class TestBatchedAccessMatchesTheLoop:
             machine = rig.machine
             clock = machine.clock
             start = clock.now
-            target = int(rig.sweep._arrays()[0][-1])
+            target = int(rig.sweep._arrays()[-1])
             fired_at = []
             machine.events.schedule(start + 900, lambda c=clock: c.advance(5_000))
             machine.events.schedule(
@@ -345,31 +345,3 @@ class TestBatchedAccessMatchesTheLoop:
         start, counts, fired_at, _state = runs[0]
         assert fired_at[0] > start + 900 + 5_000
         assert sum(counts) == 1
-
-
-# ----------------------------------------------------------------------
-# Decomposition hints stay current across re-keys
-# ----------------------------------------------------------------------
-class TestHintsFollowTheMapping:
-    def test_eviction_sets_and_sweeps_after_a_rekey(self):
-        """Eviction sets and sweeps hand ``cpu_access_many`` their cached
-        ``(flats, lines)``; after a re-key those must be the new
-        mapping's."""
-        rig = _Rig(backend="keyed:epoch=700", ddio=True, faults="off",
-                   partition=False, traffic=False, reference=False)
-        llc = rig.machine.llc
-        rig.sweep.probe()
-        stale = [es.probe_order()[1].copy() for es in rig.sets]
-        llc._rekey(now=rig.machine.clock.now)
-        moved = 0
-        for es, old in zip(rig.sets, stale):
-            paddrs, flats, lines = es.probe_order()
-            fresh = llc.decompose_many(paddrs)
-            assert flats.tolist() == fresh[0].tolist()
-            assert lines.tolist() == fresh[1].tolist()
-            moved += flats.tolist() != old.tolist()
-        assert moved > 0
-        paddrs, flats, lines = rig.sweep._arrays()
-        fresh = llc.decompose_many(paddrs)
-        assert flats.tolist() == fresh[0].tolist()
-        assert lines.tolist() == fresh[1].tolist()

@@ -53,6 +53,7 @@ def test_short_stream_takes_the_burst_path_in_short_bursts(monkeypatch):
     monkeypatch.setattr(Nic, "deliver", counted_deliver)
     n_frames = 1000
     _bench_rx_short(legacy=False, n_frames=n_frames)
-    assert sum(frames) == n_frames and not singles
+    # The timed frames and the untimed tenth that warms the machine.
+    assert sum(frames) == n_frames + n_frames // 10 and not singles
     assert len(ops) == len(frames)  # one engine call per burst
     assert max(ops) <= 50, max(ops)

@@ -9,6 +9,7 @@ these tests pin the invariants the façade relies on:
 * dirty evictions are counted as writebacks exactly once;
 * the batched kernels (``lookup_many``/``touch_many``) are equivalent to
   their scalar counterparts, including duplicate-line batches;
+* the directory maps each resident line to the slot that holds it;
 * every scalar fill and eviction picks the way, and leaves the rows,
   that the earlier numpy victim formulas (kept below as references) did.
 """
@@ -91,7 +92,7 @@ class TestEngineLRUModel:
             if expected == "skip":
                 continue
             if op == 0:
-                assert engine.touch(flat, line) == expected
+                assert engine.touch(line) == expected
             elif op == 1:
                 evicted = engine.insert(flat, line, LINE_IO if io else 0)
                 assert evicted == expected
@@ -102,10 +103,10 @@ class TestEngineLRUModel:
             elif op == 3:
                 assert engine.evict_lru_of(flat, io=io) == expected
             elif op == 4:
-                flags = engine.invalidate(flat, line)
+                flags = engine.invalidate(line)
                 assert flags == (None if expected is None else expected)
             elif op == 5:
-                engine.mark_io(flat, line)
+                engine.mark_io(line)
             # The packed view must agree with the model in LRU order.
             assert engine.lines_in_lru_order(flat) == list(model.lines.items())
             assert engine.size(flat) == len(model.lines)
@@ -124,7 +125,7 @@ class TestEngineLRUModel:
             if model.apply(op, line, io) == "skip":
                 continue
             if op == 0:
-                engine.touch(flat, line)
+                engine.touch(line)
             elif op == 1:
                 engine.insert(flat, line, LINE_IO if io else 0)
             elif op == 2:
@@ -133,9 +134,10 @@ class TestEngineLRUModel:
             elif op == 3:
                 engine.evict_lru_of(flat, io=io)
             elif op == 4:
-                engine.invalidate(flat, line)
+                engine.invalidate(line)
             elif op == 5:
-                engine.mark_io(flat, line)
+                engine.mark_io(line)
+            _assert_directory(engine)
             row = slice(flat * ways, (flat + 1) * ways)
             row_tags = engine.tags[row]
             row_flags = engine.flags[row]
@@ -221,14 +223,17 @@ class TestFacadeInvariants:
             for p in paddrs:  # warm both identically
                 llc_.cpu_access(int(p))
         flats, lps = llc.decompose_many(paddrs)
-        hit, ways = llc.engine.lookup_many(flats, lps)
+        slots = llc.engine.lookup_many(lps)
         for i, p in enumerate(paddrs):
-            assert bool(hit[i]) == llc.is_resident(int(p))
+            assert (slots[i] >= 0) == llc.is_resident(int(p))
+            if slots[i] >= 0:
+                assert llc.engine.tags[slots[i]] == lps[i]
+                assert slots[i] // llc.engine.ways == flats[i]
         # touch_many vs sequential touches: identical final LRU state.
-        resident = np.flatnonzero(hit)
-        llc.engine.touch_many(flats[resident], ways[resident], set_dirty=dirty)
+        resident = np.flatnonzero(slots >= 0)
+        llc.engine.touch_many(slots[resident], set_dirty=dirty)
         for i in resident:
-            other.engine.touch(int(flats[i]), int(lps[i]), set_dirty=dirty)
+            other.engine.touch(int(lps[i]), set_dirty=dirty)
         for flat in np.unique(flats):
             assert llc.engine.lines_in_lru_order(int(flat)) == (
                 other.engine.lines_in_lru_order(int(flat))
@@ -249,7 +254,7 @@ def _ref_place(engine, flat, way, line, flags):
     engine.flags[idx] = flags
     engine._tick += 1
     engine.stamps[idx] = engine._tick
-    engine._dir[line] = way
+    engine._dir[line] = idx
     engine._size[flat] += 1
     if flags & LINE_IO:
         engine._n_io[flat] += 1
@@ -263,7 +268,7 @@ def ref_evict_lru(engine, flat):
     else:
         occupied = engine.tags[base : base + engine.ways] != -1
         way = int(np.where(occupied, stamps, _MAX).argmin())
-    return engine._drop(flat, base + way)
+    return engine._drop(base + way)
 
 
 def ref_insert(engine, flat, line, flags):
@@ -282,7 +287,7 @@ def ref_evict_lru_in(engine, flat, lo, hi):
     if not occupied.any():
         raise LookupError("empty way range")
     stamps = np.where(occupied, engine.stamps[base + lo : base + hi], _MAX)
-    return engine._drop(flat, base + lo + int(stamps.argmin()))
+    return engine._drop(base + lo + int(stamps.argmin()))
 
 
 def ref_insert_in(engine, flat, line, flags, lo, hi):
@@ -304,7 +309,15 @@ def ref_evict_lru_of(engine, flat, io):
     flag_row = engine.flags[base : base + engine.ways]
     match = (row != -1) & (((flag_row & LINE_IO) != 0) == io)
     stamps = np.where(match, engine.stamps[base : base + engine.ways], _MAX)
-    return engine._drop(flat, base + int(stamps.argmin()))
+    return engine._drop(base + int(stamps.argmin()))
+
+
+def _assert_directory(engine):
+    """Every directory entry is a slot that holds its line, and every
+    occupied way has one."""
+    for line, slot in engine._dir.items():
+        assert engine.tags[slot] == line
+    assert len(engine._dir) == int((engine.tags != -1).sum())
 
 
 def _assert_same(engine, ref):
@@ -361,15 +374,16 @@ class TestWayPlacement:
                 got = engine.evict_lru_of(flat, io)
                 want = ref_evict_lru_of(ref, flat, io)
             elif op == 4:
-                got = engine.invalidate(flat, line)
-                want = ref.invalidate(flat, line)
+                got = engine.invalidate(line)
+                want = ref.invalidate(line)
             else:
-                got = engine.touch(flat, line)
-                want = ref.touch(flat, line)
+                got = engine.touch(line)
+                want = ref.touch(line)
             assert got == want
             if op in (0, 1):
                 assert engine._dir[line] == ref._dir[line]
             _assert_same(engine, ref)
+            _assert_directory(engine)
             # The helper's occupancy test: only empty ways hold stamp 0.
             assert np.array_equal(engine.stamps == 0, engine.tags == -1)
             assert not engine.flags[engine.tags == -1].any()
@@ -384,11 +398,11 @@ class TestWayPlacement:
         for line, flags in lines:
             engine.insert(0, line, flags)
             ref_insert(ref, 0, line, flags)
-        engine.invalidate(0, 10)  # way 0 is free
-        ref.invalidate(0, 10)
+        engine.invalidate(10)  # way 0 is free
+        ref.invalidate(10)
         assert engine.evict_lru_of(0, io=True) == (11, LINE_IO | LINE_DIRTY)
         assert ref_evict_lru_of(ref, 0, io=True) == (11, LINE_IO | LINE_DIRTY)
         assert engine.insert(0, 14, 0) is ref_insert(ref, 0, 14, 0) is None
         assert engine._dir[14] == 0  # not way 1, the one just freed
-        assert engine.tags2[0].tolist() == [14, -1, 12, 13]
+        assert engine.tags[:4].tolist() == [14, -1, 12, 13]
         _assert_same(engine, ref)

@@ -176,23 +176,3 @@ def test_batched_io_write_partition_fallback():
         for p in burst:
             old.io_write(p, now=now)
         assert_same_state(new, old)
-
-
-def test_batched_access_with_cached_decomp():
-    """A caller-cached decomposition replays identically to fresh hashing."""
-    new, old = build_pair(True, False, ModuloSliceHash)
-    rng = random.Random(31)
-    paddrs = np.asarray(
-        [rng.randrange(GEOMETRY.total_sets * 2) * 64 for _ in range(300)],
-        dtype=np.int64,
-    )
-    decomp = new.decompose_many(paddrs)
-    for _ in range(20):
-        hits, lats = new.access_many(paddrs, decomp=decomp)
-        want = [old.cpu_access(int(p)) for p in paddrs]
-        assert [(bool(h), int(lat)) for h, lat in zip(hits, lats)] == want
-        for _ in range(10):
-            paddr = rng.randrange(GEOMETRY.total_sets * 2) * 64
-            new.io_write(paddr)
-            old.io_write(paddr)
-    assert_same_state(new, old)

@@ -153,7 +153,7 @@ class _Rig:
         """Run one prime site, with a marker event ``delay`` cycles in that
         flushes the middle set's first line."""
         machine = self.machine
-        target = int(sets[len(sets) // 2].prime_order()[0][0])
+        target = int(sets[len(sets) // 2].prime_order()[0])
         machine.events.schedule(
             machine.clock.now + delay,
             lambda: machine.llc.flush(target),

@@ -98,5 +98,5 @@ class TestHierarchy:
         h.access(0x6000, write=True)
         span = h.l1.n_sets * 64
         h.access(0x6000 + span)  # evicts the dirty L1 line
-        flags = llc.engine.flags_of(llc.flat_set_of(0x6000), 0x6000 >> 6)
+        flags = llc.engine.flags_of(0x6000 >> 6)
         assert flags is not None and flags & LINE_DIRTY

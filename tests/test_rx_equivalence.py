@@ -262,7 +262,7 @@ def _count_burst_branches(monkeypatch) -> collections.Counter:
                 continue
             opened.add(flat)
             if kind == 0:
-                flags = engine.flags_of(flat, line)
+                flags = engine.flags_of(line)
                 seen["fills hitting a CPU line"] += (
                     flags is not None and not flags & LINE_IO
                 )

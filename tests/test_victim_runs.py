@@ -23,7 +23,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from repro.cache.cacheset import LINE_DIRTY
+from repro.cache.cacheset import LINE_DIRTY, CacheSet
 from repro.core.config import DDIOConfig, MachineConfig
 from repro.core.machine import Machine
 from repro.defense.partitioning import AdaptivePartition
@@ -51,8 +51,7 @@ def _reference_hierarchy_access(hierarchy, paddr: int, write: bool, now: int) ->
     if evicted is not None:
         line_addr, flags = evicted
         if flags & LINE_DIRTY:
-            victim_paddr = line_addr << llc.geometry.offset_bits
-            llc.engine.touch(llc.flat_set_of(victim_paddr), line_addr, set_dirty=True)
+            llc.engine.touch(line_addr, set_dirty=True)
     return hierarchy.timing.l1_hit_latency + llc_latency
 
 
@@ -347,6 +346,37 @@ class TestMemAgentRuns:
             _reference_access(a2, base + i * 64)
         assert seen[0] == seen[1]
         assert _state(m1, a1, f1) == _state(m2, a2, f2)
+
+    def test_dirty_l1_victims_match_per_line_accesses(self, monkeypatch):
+        """A write run over more lines than the L1 holds in their sets,
+        then a read run over them: each L1 fill past the first eight
+        pages evicts a dirty line, whose writeback touches its LLC copy
+        between two accesses in stamp order."""
+        (m1, a1, f1, base), (m2, a2, f2, _) = _agents(n_pages=12)
+        ways = a1.hierarchy.l1.ways
+        n_lines = 10 * m1.physmem.page_size // 64
+        assert n_lines > a1.hierarchy.l1.n_sets * ways
+        runs_sets = {id(cset) for cset in a1.hierarchy.l1.sets}
+        dirty_victims = {True: 0, False: 0}  # keyed by "on the runs' side"
+        insert = CacheSet.insert
+
+        def counted(cset, line, flags):
+            evicted = insert(cset, line, flags)
+            if evicted is not None and evicted[1] & LINE_DIRTY:
+                dirty_victims[id(cset) in runs_sets] += 1
+            return evicted
+
+        monkeypatch.setattr(CacheSet, "insert", counted)
+        start = base + 64
+        assert a1.write_run(start, n_lines) == sum(
+            _reference_access(a2, start + i * 64, write=True) for i in range(n_lines)
+        )
+        assert _state(m1, a1, f1) == _state(m2, a2, f2)
+        assert a1.read_run(base, n_lines) == sum(
+            _reference_access(a2, base + i * 64) for i in range(n_lines)
+        )
+        assert _state(m1, a1, f1) == _state(m2, a2, f2)
+        assert dirty_victims[True] == dirty_victims[False] > n_lines // 2
 
     def test_kernel_run_matches_per_line_reads(self):
         (m1, a1, f1, base), (m2, a2, f2, _) = _agents()
